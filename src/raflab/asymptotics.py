@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernels import Kernel, UnsupportedKernelError
 from .mellin import PoleError, RegionError, closed_transform, zeta
-from .sieve import MobiusTable
+from .sieve import MobiusTable, sieve_spf_only
 from .solver import Coefficients, PartialSumSeries, RhsSpec, partial_sums, solve
 
 VERDICT_MATCH = "asymptotic_match"
@@ -361,15 +361,6 @@ def estimate_index(
 # --------------------------------------------------------------------------
 
 
-def _prime_mask(limit: int) -> np.ndarray:
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(math.isqrt(limit)) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return mask
-
-
 def hlr_report(coeffs: Coefficients, table: Optional[MobiusTable] = None) -> HLRReport:
     """sup |n a_n| over 2<=n<=N, envelope growth of its running max, and the
     mean of p a_p over the 100 largest primes <= N (the n a_n = O(1) /
@@ -394,11 +385,8 @@ def hlr_report(coeffs: Coefficients, table: Optional[MobiusTable] = None) -> HLR
             growth = 0.0
         else:
             growth, _ = _ols_loglog(cps[pos].astype(np.float64), vals[pos])
-    if table is not None and table.limit >= limit:
-        primes = np.nonzero(table.spf[: limit + 1] == np.arange(limit + 1))[0]
-        primes = primes[primes >= 2]
-    else:
-        primes = np.nonzero(_prime_mask(limit))[0]
+    spf = table.spf if table is not None and table.limit >= limit else sieve_spf_only(limit)
+    primes = np.nonzero(spf[2 : limit + 1] == np.arange(2, limit + 1))[0] + 2
     tail = primes[-100:]
     tail_mean = float(np.mean(na[tail])) if len(tail) else 0.0
     return HLRReport(

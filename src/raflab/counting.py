@@ -34,7 +34,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .sieve import MobiusTable
+from .sieve import MobiusTable, divisor_pass, totient_table
 from .solver import l0_three_smooth
 
 _COUNT_KINDS = ("coprime_tuples", "p_free", "prime_powers", "smooth", "elias_gamma")
@@ -245,14 +245,6 @@ def smooth_oracle_table(limit: int, primes: Tuple[int, ...]) -> np.ndarray:
     return np.cumsum(mask)
 
 
-def _totient_sum(n: int) -> int:
-    phi = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
-        if phi[p] == p:  # untouched => prime
-            phi[p::p] -= phi[p::p] // p
-    return int(phi[1:].sum())
-
-
 def count_oracle(spec: CountSpec) -> int:
     """Brute-force/recursive count with no Mobius function anywhere.
 
@@ -268,7 +260,7 @@ def count_oracle(spec: CountSpec) -> int:
         val = int(coprime_oracle_table(n, spec.m)[n])
         if spec.m == 2:
             # second, independent route: pairs with gcd 1 = 2*sum phi(k) - 1
-            alt = 2 * _totient_sum(n) - 1
+            alt = 2 * int(totient_table(n).sum()) - 1
             assert val == alt, "coprime m=2 oracles disagree: %d vs %d" % (val, alt)
         return val
     if spec.kind == "p_free":
@@ -295,13 +287,10 @@ def count_oracle(spec: CountSpec) -> int:
 # --------------------------------------------------------------------------
 
 
-def _floor_scan(weights: np.ndarray, limit: int) -> np.ndarray:
+def _floor_scan(weights: np.ndarray) -> np.ndarray:
     """T[n] = sum_{k<=n} w_k floor(n/k) for all n in one divisor-sieve pass."""
-    acc = np.zeros(limit + 1, dtype=np.int64)
-    for k in range(1, limit + 1):
-        wk = int(weights[k])
-        if wk:
-            acc[k::k] += wk
+    acc = weights.copy()
+    divisor_pass(acc, weights, 1)
     return np.cumsum(acc)
 
 
@@ -309,7 +298,7 @@ def meissel_scan(table: MobiusTable, limit: int) -> np.ndarray:
     """sum_{k<=n} mu(k) floor(n/k) for every n <= limit (identically 1)."""
     if limit > table.limit:
         raise ValueError("limit exceeds table limit")
-    return _floor_scan(table.mu[: limit + 1].astype(np.int64), limit)
+    return _floor_scan(table.mu[: limit + 1].astype(np.int64))
 
 
 def elias_scan(table: MobiusTable, limit: int) -> np.ndarray:
@@ -318,7 +307,7 @@ def elias_scan(table: MobiusTable, limit: int) -> np.ndarray:
         raise ValueError("limit exceeds table limit")
     w = table.mu[: limit + 1].astype(np.int64)
     w[2::2] *= -1
-    return _floor_scan(w, limit)
+    return _floor_scan(w)
 
 
 def smooth_bridge_scan(table: MobiusTable, limit: int) -> np.ndarray:
@@ -326,7 +315,7 @@ def smooth_bridge_scan(table: MobiusTable, limit: int) -> np.ndarray:
     if 6 * limit > table.limit:
         raise ValueError("needs mu up to 6*limit = %d" % (6 * limit))
     w = table.mu[6 : 6 * limit + 1 : 6].astype(np.int64)
-    return _floor_scan(np.concatenate(([0], w)), limit)
+    return _floor_scan(np.concatenate(([0], w)))
 
 
 def log2_floor_table(limit: int) -> np.ndarray:

@@ -5,6 +5,8 @@ Provides:
 - divisors(n, table)   -> ascending divisor list via the spf factorization
 - totient_table(limit) -> Euler phi for all n <= limit
 - save_cache / load_cache -> binary mu cache ("RAFSIEVE1" format)
+- divisor_pass(target, weights, sign) -> target[i*d] += sign*weights[d] for
+  d ascending: sum_{k<=n} w_k floor(n/k) forwards, or its in-place inverse
 
 The table is immutable after construction and safe to share read-only
 across workers; sieving itself is single-threaded.
@@ -12,6 +14,7 @@ across workers; sieving itself is single-threaded.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -22,6 +25,9 @@ import numpy as np
 MAX_SIEVE_LIMIT = 200_000_000
 
 _CACHE_MAGIC = b"RAFSIEVE1"
+
+# divisor_pass strides d while N//d >= K and blocks the larger d by N//d.
+DIVISOR_PASS_K = 64
 
 
 class CapacityError(ValueError):
@@ -81,22 +87,7 @@ def sieve(limit: int) -> MobiusTable:
         )
 
     n = limit
-    spf = np.zeros(n + 1, dtype=np.int64)
-    if n >= 1:
-        spf[1] = 1
-
-    # Mark composites: when p is processed, every m in [p^2, N] step p with
-    # spf[m] still unset has smallest prime factor exactly p.
-    p = 2
-    while p * p <= n:
-        if spf[p] == 0:
-            spf[p] = p
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-        p += 1
-    # Everything still unset at index >= 2 is a prime > sqrt(N).
-    rest = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[rest] = rest
+    spf = sieve_spf_only(n)
 
     # mu via the signed product trick.
     val = np.ones(n + 1, dtype=np.int64)
@@ -117,10 +108,14 @@ def sieve(limit: int) -> MobiusTable:
     if n >= 1:
         mu[1] = 1
 
-    mertens = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(mu[1:], dtype=np.int64, out=mertens[1:])
+    return MobiusTable(limit=n, mu=mu, mertens=_mertens(mu), spf=spf)
 
-    return MobiusTable(limit=n, mu=mu, mertens=mertens, spf=spf)
+
+def _mertens(mu: np.ndarray) -> np.ndarray:
+    """Prefix sums M(x) = sum_{n<=x} mu[n], with M(0) = 0."""
+    mertens = np.zeros(len(mu), dtype=np.int64)
+    np.cumsum(mu[1:], dtype=np.int64, out=mertens[1:])
+    return mertens
 
 
 def factorize(n: int, table: MobiusTable) -> list[tuple[int, int]]:
@@ -201,18 +196,17 @@ def load_cache(path: str) -> MobiusTable:
         if len(raw) != limit + 1:
             raise ValueError("truncated RAFSIEVE1 cache: %r" % (path,))
     mu = np.frombuffer(raw, dtype=np.int8).copy()
-    mertens = np.zeros(limit + 1, dtype=np.int64)
-    np.cumsum(mu[1:], dtype=np.int64, out=mertens[1:])
     # spf is cheap relative to the mu sieve; rebuild it.
-    spf = sieve_spf_only(limit)
-    return MobiusTable(limit=int(limit), mu=mu, mertens=mertens, spf=spf)
+    return MobiusTable(limit=int(limit), mu=mu, mertens=_mertens(mu), spf=sieve_spf_only(limit))
 
 
 def sieve_spf_only(limit: int) -> np.ndarray:
-    """Just the smallest-prime-factor array (used when mu comes from cache)."""
+    """Smallest prime factor of 0..limit (spf[1] = 1), int64; sieve() uses it."""
     spf = np.zeros(limit + 1, dtype=np.int64)
     if limit >= 1:
         spf[1] = 1
+    # Mark composites: when p is processed, every m in [p^2, N] step p with
+    # spf[m] still unset has smallest prime factor exactly p.
     p = 2
     while p * p <= limit:
         if spf[p] == 0:
@@ -220,6 +214,39 @@ def sieve_spf_only(limit: int) -> np.ndarray:
             sl = spf[p * p :: p]
             sl[sl == 0] = p
         p += 1
+    # Everything still unset at index >= 2 is a prime > sqrt(N).
     rest = np.nonzero(spf[2:] == 0)[0] + 2
     spf[rest] = rest
     return spf
+
+
+def divisor_pass(target: np.ndarray, weights: np.ndarray, sign: int) -> None:
+    """target[i*d] += sign*weights[d] for all d >= 1, i >= 2 with i*d <= N.
+
+    N = len(target) - 1 and sign is +1 or -1.  d ascends, so weights may be
+    target itself: divisor_pass(b, b, -1) turns s(m) into
+    b_m = s(m) - sum_{d|m, d<m} b_d.  Works on float, int and object
+    (Fraction) arrays.
+    """
+    update = operator.iadd if sign > 0 else operator.isub  # in place on a view
+    n = len(target) - 1
+    # d with at least K multiples: one strided slice per d.
+    for d in range(1, n // DIVISOR_PASS_K + 1):
+        w = weights[d]
+        if w:
+            update(target[2 * d :: d], w)
+    # Larger d, in blocks of equal q = N//d, i.e. d in (N/(q+1), N/q].  Then
+    # 2*d_lo > d_hi, so no d of a block divides another: the block reads only
+    # finished weights, and its i-th multiples form one strided slice.  Nor
+    # does a target get two terms from one block (i*d = i'*d' with i' < i <= q
+    # needs d'/d >= q/(q-1) > d_hi/d_lo), and blocks go in ascending d, so
+    # every target gets its terms in the per-d loop's order: floats round
+    # the same way.
+    d_lo = n // DIVISOR_PASS_K + 1
+    while 2 * d_lo <= n:
+        q = n // d_lo
+        d_hi = n // q
+        w = weights[d_lo : d_hi + 1]
+        for i in range(2, q + 1):
+            update(target[i * d_lo : i * d_hi + 1 : i], w)
+        d_lo = d_hi + 1

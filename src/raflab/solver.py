@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .kernels import Ingham, Kernel
-from .sieve import MobiusTable
+from .sieve import MobiusTable, divisor_pass
 
 DEFAULT_GENERIC_CAP = 20_000
 
@@ -263,13 +263,9 @@ def _solve_ingham_float(rhs: RhsSpec, limit: int) -> np.ndarray:
     s = np.empty(limit + 1, dtype=np.float64)
     s[0] = 0.0
     s[1:] = n[1:] * r[1:] - n[:-1] * r[:-1]
-    b = s  # b_m = s(m) - sum_{d|m, d<m} b_d, resolved in place
-    for d in range(1, limit // 2 + 1):
-        bd = b[d]
-        if bd != 0.0:
-            b[2 * d :: d] -= bd
+    divisor_pass(s, s, -1)  # s becomes b_m = s(m) - sum_{d|m, d<m} b_d
     a = np.zeros(limit + 1, dtype=np.float64)
-    a[1:] = b[1:] / n[1:]
+    a[1:] = s[1:] / n[1:]
     return a
 
 
@@ -298,12 +294,8 @@ def _solve_ingham_exact(rhs: RhsSpec, limit: int) -> list:
                 hi *= int(l0[m])
                 lo *= int(l0[m - 1]) if m >= 2 else 0
             s[m] = hi - lo
-    b = s
-    for d in range(1, limit // 2 + 1):
-        bd = b[d]
-        if bd:
-            for m in range(2 * d, limit + 1, d):
-                b[m] -= bd
+    b = np.array(s, dtype=object)
+    divisor_pass(b, b, -1)
     values: list = [Fraction(0)] * (limit + 1)
     for m in range(1, limit + 1):
         values[m] = Fraction(b[m], m) if isinstance(b[m], int) else b[m] / m
