@@ -64,6 +64,7 @@ from .mellin import (
 from .sieve import MobiusTable, load_cache, save_cache, sieve
 from .solver import (
     RhsSpec,
+    VerificationError,
     delta_coeff_closed,
     parse_rhs,
     partial_sums,
@@ -863,6 +864,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _apply_config(args)
         return _HANDLERS[args.command](args, cmdline)
+    except VerificationError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     except (UsageError, KernelDomainError, UnsupportedKernelError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -23,19 +23,20 @@ where these identities are sharpest.
 
 The *_scan helpers evaluate a whole identity for every n <= N at once in
 O(N log N): sum_k w_k floor(n/k) = sum_{m<=n} sum_{k|m} w_k, so scattering
-w_k onto multiples of k and taking a cumulative sum gives all n in one pass.
+w_k onto multiples of k (sieve.divisor_pass) and taking a cumulative sum
+gives all n in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .sieve import MobiusTable, divisor_pass, totient_table
-from .solver import l0_three_smooth
+from .solver import VerificationError, l0_three_smooth
 
 _COUNT_KINDS = ("coprime_tuples", "p_free", "prime_powers", "smooth", "elias_gamma")
 
@@ -261,7 +262,8 @@ def count_oracle(spec: CountSpec) -> int:
         if spec.m == 2:
             # second, independent route: pairs with gcd 1 = 2*sum phi(k) - 1
             alt = 2 * int(totient_table(n).sum()) - 1
-            assert val == alt, "coprime m=2 oracles disagree: %d vs %d" % (val, alt)
+            if val != alt:
+                raise VerificationError("coprime m=2 oracles disagree: %d vs %d" % (val, alt))
         return val
     if spec.kind == "p_free":
         if n > 10_000:

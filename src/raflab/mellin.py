@@ -56,6 +56,7 @@ from .kernels import (
     Scaled,
     UnsupportedKernelError,
 )
+from .solver import VerificationError
 
 
 class PoleError(ZeroDivisionError):
@@ -396,7 +397,7 @@ def phi_f_zeros(q: int, im_range: Tuple[float, float]) -> List[complex]:
     Zeros solve q T^2 - 2T + 1 = 0 in T = q^-z, i.e. T = (1 ± i sqrt(q-1))/q
     with |T| = q^(-1/2), so every zero has Re z = 1/2 exactly; the two
     branch points repeat with period 2*pi/ln q in Im z.  Each returned z is
-    verified to satisfy |Phi_f*(z)| < 1e-9.
+    verified to satisfy |Phi_f*(z)| < 1e-9 (VerificationError otherwise).
     """
     if int(q) != q or q < 2:
         raise ValueError("q must be an integer >= 2")
@@ -420,5 +421,6 @@ def phi_f_zeros(q: int, im_range: Tuple[float, float]) -> List[complex]:
     zeros.sort(key=lambda w: (w.imag, w.real))
     for w in zeros:
         v = closed_transform(kernel, w).value
-        assert abs(v) < 1e-9, "zero verification failed at %r: |F| = %g" % (w, abs(v))
+        if not abs(v) < 1e-9:
+            raise VerificationError("zero verification failed at %r: |F| = %g" % (w, abs(v)))
     return zeros

@@ -15,6 +15,7 @@ across workers; sieving itself is single-threaded.
 from __future__ import annotations
 
 import operator
+import os
 import struct
 from dataclasses import dataclass
 
@@ -185,17 +186,28 @@ def load_cache(path: str) -> MobiusTable:
     """Load a mu cache written by save_cache; mertens and spf are recomputed.
 
     Raises:
-        ValueError: wrong magic or truncated file.
+        ValueError: wrong magic, a header limit above MAX_SIEVE_LIMIT, a file
+            size other than header + limit + 1, or a mu byte outside {-1, 0, 1}.
     """
+    header = len(_CACHE_MAGIC) + 8
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
+        head = fh.read(header)
+        if len(head) != header or head[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
             raise ValueError("not a RAFSIEVE1 cache file: %r" % (path,))
-        (limit,) = struct.unpack("<Q", fh.read(8))
-        raw = fh.read(limit + 1)
-        if len(raw) != limit + 1:
-            raise ValueError("truncated RAFSIEVE1 cache: %r" % (path,))
-    mu = np.frombuffer(raw, dtype=np.int8).copy()
+        (limit,) = struct.unpack("<Q", head[len(_CACHE_MAGIC) :])
+        if limit > MAX_SIEVE_LIMIT:
+            raise ValueError(
+                "RAFSIEVE1 cache %r: limit %d exceeds max %d" % (path, limit, MAX_SIEVE_LIMIT)
+            )
+        size = os.fstat(fh.fileno()).st_size
+        if size != header + limit + 1:
+            raise ValueError(
+                "RAFSIEVE1 cache %r: %d bytes, limit %d needs %d"
+                % (path, size, limit, header + limit + 1)
+            )
+        mu = np.frombuffer(fh.read(limit + 1), dtype=np.int8).copy()
+    if mu.min() < -1 or mu.max() > 1:
+        raise ValueError("RAFSIEVE1 cache %r: mu value outside {-1, 0, 1}" % (path,))
     # spf is cheap relative to the mu sieve; rebuild it.
     return MobiusTable(limit=int(limit), mu=mu, mertens=_mertens(mu), spf=sieve_spf_only(limit))
 

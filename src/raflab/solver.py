@@ -18,13 +18,13 @@ multiples of k up to n, so
 
 The inner divisor sums are therefore s(m) := m R(m) - (m-1) R(m-1), and the
 triangular system collapses to b_m = s(m) - sum_{d|m, d<m} b_d, solved in
-O(N log N) by one sieve-like pass (for d ascending: b[2d::d] -= b[d]).
+O(N log N) in place by sieve.divisor_pass(b, b, -1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -46,6 +46,10 @@ class SingularKernelError(ZeroDivisionError):
 
 class BackendMismatchError(TypeError):
     """Exact backend requested for a kernel/RHS pair that is not rational."""
+
+
+class VerificationError(ArithmeticError):
+    """A computed result failed its independent check (residual, identity, zero)."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ class RhsSpec:
             r = np.zeros(limit + 1)
             r[1] = 1.0
             return r
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             r = n ** (-self.beta)
         r[0] = 0.0
         if self.kind == "l0pow":
@@ -208,6 +212,8 @@ def solve(
         BackendMismatchError: exact backend with a non-ingham kernel or an
             RHS whose values are not rational (delta / integer beta >= 0
             are rational; fractional beta is not).
+        ValueError: a float R(n) that is not finite (e.g. n^-beta overflows).
+        VerificationError: the post-solve a_1 or residual check fails.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -225,15 +231,20 @@ def solve(
             )
         values = _solve_ingham_exact(rhs, limit)
     elif backend == "float":
-        if is_ingham and not force_generic:
-            values = _solve_ingham_float(rhs, limit)
+        generic = force_generic or not is_ingham
+        if generic and limit > generic_cap:
+            raise ValueError(
+                "generic O(N^2) solve capped at N=%d (asked %d); raise generic_cap "
+                "to override" % (generic_cap, limit)
+            )
+        r = rhs.values_float(limit, _rhs_l0(rhs, limit))
+        bad = np.flatnonzero(~np.isfinite(r[1:]))
+        if len(bad):
+            raise ValueError("rhs %s: R(n) is not finite at n=%d" % (rhs.label, bad[0] + 1))
+        if generic:
+            values = _solve_generic_float(kernel, r, limit)
         else:
-            if limit > generic_cap:
-                raise ValueError(
-                    "generic O(N^2) solve capped at N=%d (asked %d); raise generic_cap "
-                    "to override" % (generic_cap, limit)
-                )
-            values = _solve_generic_float(kernel, rhs, limit)
+            values = _solve_ingham_float(r, limit)
     else:
         raise ValueError("backend must be 'exact' or 'float', got %r" % (backend,))
 
@@ -256,9 +267,7 @@ def _rhs_l0(rhs: RhsSpec, limit: int) -> Optional[np.ndarray]:
     return l0_three_smooth(limit)
 
 
-def _solve_ingham_float(rhs: RhsSpec, limit: int) -> np.ndarray:
-    l0 = _rhs_l0(rhs, limit)
-    r = rhs.values_float(limit, l0)
+def _solve_ingham_float(r: np.ndarray, limit: int) -> np.ndarray:
     n = np.arange(limit + 1, dtype=np.float64)
     s = np.empty(limit + 1, dtype=np.float64)
     s[0] = 0.0
@@ -302,9 +311,7 @@ def _solve_ingham_exact(rhs: RhsSpec, limit: int) -> list:
     return values
 
 
-def _solve_generic_float(kernel: Kernel, rhs: RhsSpec, limit: int) -> np.ndarray:
-    l0 = _rhs_l0(rhs, limit)
-    r = rhs.values_float(limit, l0)
+def _solve_generic_float(kernel: Kernel, r: np.ndarray, limit: int) -> np.ndarray:
     a = np.zeros(limit + 1, dtype=np.float64)
     ks = np.arange(1, limit + 1, dtype=np.int64)
     g11 = kernel.eval(1, 1)
@@ -324,20 +331,27 @@ def _solve_generic_float(kernel: Kernel, rhs: RhsSpec, limit: int) -> np.ndarray
 
 
 def _spot_check(coeffs: Coefficients) -> None:
-    """Cheap post-solve assertions: a_1, and the residual at n = limit."""
+    """Cheap post-solve checks: a_1, and the residual at n = limit.
+
+    Raises:
+        VerificationError: either check fails (a NaN residual fails too).
+    """
     g11 = coeffs.kernel.eval(1, 1)
     if coeffs.backend == "exact":
-        assert coeffs.values[1] == 1, "a_1 != 1 on exact backend"
-    elif g11 == 1.0:
-        assert abs(coeffs.values[1] - 1.0) < 1e-12, "a_1 != 1"
+        if coeffs.values[1] != 1:
+            raise VerificationError("a_1 != 1 on exact backend")
+    elif g11 == 1.0 and not abs(coeffs.values[1] - 1.0) < 1e-12:
+        raise VerificationError("a_1 = %g, expected 1" % coeffs.values[1])
     res = residual(coeffs, coeffs.limit)
     if coeffs.backend == "exact":
-        assert res == 0, "nonzero exact residual at n=%d" % coeffs.limit
+        if res != 0:
+            raise VerificationError("nonzero exact residual at n=%d" % coeffs.limit)
     else:
         l0 = _rhs_l0(coeffs.rhs, coeffs.limit)
         rn = coeffs.rhs.values_float(coeffs.limit, l0)[coeffs.limit]
         tol = 1e-9 * max(1.0, abs(rn)) * coeffs.limit
-        assert abs(res) <= tol, "residual %g at n=%d exceeds %g" % (res, coeffs.limit, tol)
+        if not abs(res) <= tol:
+            raise VerificationError("residual %g at n=%d exceeds %g" % (res, coeffs.limit, tol))
 
 
 def residual(coeffs: Coefficients, n: int):

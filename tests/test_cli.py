@@ -8,10 +8,14 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import raflab.cli
 from raflab.cli import main
+from raflab.solver import VerificationError
 
 
 def run(capsys, argv):
@@ -58,6 +62,34 @@ def test_unwritable_out_is_io_error(capsys, tmp_path):
     )
     assert rc == 2
     assert "error" in err.lower()
+
+
+def test_overflowing_rhs_is_usage_error_also_under_python_O(capsys):
+    # n^200 overflows from n = 35 on; without the finite-RHS check this
+    # printed a_1000=nan and exited 0 under -O (the residual check was an assert)
+    argv = ["solve", "--rhs", "power:-200", "--n", "1000"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "raflab.cli"] + argv,
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
+def test_verification_failure_exits_one(capsys, monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise VerificationError("residual nan at n=5 exceeds 5e-09")
+
+    monkeypatch.setattr(raflab.cli, "solve", failing_solve)
+    rc, out, err = run(capsys, ["solve", "--n", "5"])
+    assert rc == 1 and out == ""
+    assert err == "error: residual nan at n=5 exceeds 5e-09\n"
 
 
 # ---------------------------------------------------------------------- mellin

@@ -1,4 +1,6 @@
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from raflab.sieve import (
     CapacityError,
+    DIVISOR_PASS_K,
     MAX_SIEVE_LIMIT,
+    divisor_pass,
     divisors,
     factorize,
     load_cache,
@@ -106,15 +110,78 @@ def test_cache_roundtrip(tmp_path, table_small):
 
 def test_cache_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"not a sieve cache at all")
-    with pytest.raises(ValueError):
-        load_cache(str(path))
+    header = b"RAFSIEVE1"
+    for raw in (
+        b"not a sieve cache at all",
+        header + struct.pack("<Q", 2**63),  # limit far above the memory budget
+        header + struct.pack("<Q", MAX_SIEVE_LIMIT + 1),
+        header + struct.pack("<Q", 3) + bytes([0, 1, 7, 0x80]),  # mu = [0, 1, 7, -128]
+    ):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError):
+            load_cache(str(path))
 
 
 def test_cache_rejects_truncated(tmp_path, table_small):
     path = tmp_path / "sieve.bin"
     save_cache(table_small, str(path))
     raw = path.read_bytes()
-    path.write_bytes(raw[:-5])
-    with pytest.raises(ValueError):
-        load_cache(str(path))
+    for bad in (raw[:-5], raw + b"\x00"):  # short, then one trailing byte
+        path.write_bytes(bad)
+        with pytest.raises(ValueError):
+            load_cache(str(path))
+
+
+# ------------------------------------------------------------ divisor_pass
+
+
+def reference_divisor_pass(target, weights, sign):
+    """The per-d loop divisor_pass replaces: every d, one strided slice."""
+    n = len(target) - 1
+    for d in range(1, n // 2 + 1):
+        w = weights[d]
+        if w:
+            if sign > 0:
+                target[2 * d :: d] += w
+            else:
+                target[2 * d :: d] -= w
+
+
+K = DIVISOR_PASS_K
+# below K, on multiples of K (where the strided/blocked split moves) and next to them
+PASS_SIZES = st.one_of(
+    st.sampled_from([1, 2, 3, K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1, K * K, K * K + 1]),
+    st.integers(min_value=1, max_value=3000),
+)
+
+
+def _weights(kind, n, rng):
+    if kind == "float":
+        w = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-6, 7, n + 1)
+        w[rng.random(n + 1) < 0.2] = 0.0
+        return w
+    if kind == "int":
+        return rng.integers(-1000, 1001, n + 1)
+    num, den = rng.integers(-9, 10, n + 1), rng.integers(1, 10, n + 1)
+    return np.array([Fraction(int(a), int(b)) for a, b in zip(num, den)], dtype=object)
+
+
+@pytest.mark.parametrize("kind", ["float", "int", "fraction"])
+@settings(max_examples=40, deadline=None)
+@given(n=PASS_SIZES, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_divisor_pass_matches_per_d_loop(kind, n, seed):
+    if kind == "fraction":
+        n = min(n, 500)
+    rng = np.random.default_rng(seed)
+    # in place, sign -1: the Ingham inversion b_m = s(m) - sum_{d|m, d<m} b_d
+    s = _weights(kind, n, rng)
+    got, want = s.copy(), s.copy()
+    divisor_pass(got, got, -1)
+    reference_divisor_pass(want, want, -1)
+    assert np.array_equal(got, want)
+    # separate weights, sign +1: the forward floor-sum scatter
+    w = _weights(kind, n, rng)
+    got, want = s.copy(), s.copy()
+    divisor_pass(got, w, 1)
+    reference_divisor_pass(want, w, 1)
+    assert np.array_equal(got, want)
