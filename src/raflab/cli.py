@@ -3,11 +3,16 @@
 Subcommands: solve, scan, index, hlr, mellin, zeros, count, jordan,
 mertens, verify.  Every subcommand accepts --out <path> (CSV artifact; a
 <out>.manifest.json sidecar records cmd/kernel/rhs/n/backend/tolerances/
-outputs/wall_ms/version) and --json (machine-readable stdout).  Option
-precedence: explicit flags > --config JSON file > built-in defaults.
+outputs/wall_ms/version) and --json (stdout is then exactly one JSON
+document).  Option precedence: explicit flags > --config JSON file >
+built-in defaults.
+
+Each handler returns a Result; main() alone times it, writes the CSV and
+manifest, and prints either the JSON document or the plain text.  wall_ms
+covers the whole subcommand, sieve or cache load included.
 
 Exit codes: 0 ok; 1 verification failure (an asserted identity or
-tolerance was violated); 2 usage or I/O error.
+tolerance was violated) or an index bracket failure; 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ import math
 import re
 import sys
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,40 +136,6 @@ def _f(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: List[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_manifest(
-    out: str,
-    cmd: str,
-    outputs: List[str],
-    wall_ms: int,
-    kernel: Optional[str] = None,
-    rhs: Optional[str] = None,
-    n: Optional[int] = None,
-    backend: Optional[str] = None,
-    tolerances: Optional[Dict[str, float]] = None,
-) -> None:
-    manifest = {
-        "cmd": cmd,
-        "kernel": kernel,
-        "rhs": rhs,
-        "n": n,
-        "backend": backend,
-        "tolerances": tolerances or {},
-        "outputs": outputs,
-        "wall_ms": wall_ms,
-        "version": __version__,
-    }
-    with open(out + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _get_table(limit: int, cache: Optional[str]) -> MobiusTable:
     if cache:
         try:
@@ -191,330 +163,248 @@ def _tol_from(args: argparse.Namespace) -> Tolerances:
     return Tolerances(**kw)
 
 
-def _tol_dict(tol: Tolerances) -> Dict[str, float]:
+def _grid_meta(kernel, n: int, tol: Tolerances) -> Dict[str, object]:
+    """Manifest fields of the beta-grid subcommands (scan, index)."""
     return {
-        "slope_tol_low": tol.slope_tol_low,
-        "slope_tol_high": tol.slope_tol_high,
-        "const_tol": tol.const_tol,
-        "decay_slope_max": tol.decay_slope_max,
+        "kernel": kernel.spec, "rhs": "power:<grid>", "n": n, "backend": "float",
+        "tolerances": {
+            "slope_tol_low": tol.slope_tol_low,
+            "slope_tol_high": tol.slope_tol_high,
+            "const_tol": tol.const_tol,
+            "decay_slope_max": tol.decay_slope_max,
+        },
     }
 
 
+@dataclass
+class Result:
+    """What a subcommand produced; main() times the handler, then emits this once.
+
+    doc is the --json document and text the plain stdout.  header and rows
+    are the --out CSV; rows may be a generator, consumed after the clock
+    stops.  meta holds the manifest's kernel/rhs/n/backend/tolerances.  A
+    doc dict holding a "wall_ms" key gets the subcommand's wall time there.
+    """
+
+    doc: object
+    text: str
+    header: Sequence[str]
+    rows: Iterable[Sequence]
+    meta: Dict[str, object] = field(default_factory=dict)
+    code: int = 0
+
+
+def _emit(res: Result, args: argparse.Namespace, cmdline: str, wall_ms: int) -> None:
+    """Write the --out CSV and its manifest sidecar, then print doc or text."""
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(res.header)
+            w.writerows(res.rows)
+        manifest = {
+            "cmd": cmdline, "kernel": None, "rhs": None, "n": None, "backend": None,
+            "tolerances": {}, **res.meta,
+            "outputs": [args.out], "wall_ms": wall_ms, "version": __version__,
+        }
+        with open(args.out + ".manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    if isinstance(res.doc, dict) and "wall_ms" in res.doc:
+        res.doc["wall_ms"] = wall_ms
+    print(json.dumps(res.doc) if args.json else res.text)
+
+
 # ---------------------------------------------------------------------------
-# subcommand implementations (each returns the exit code)
+# subcommand implementations (each returns a Result)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(args: argparse.Namespace, cmdline: str) -> int:
+def _cmd_solve(args: argparse.Namespace) -> Result:
     kernel = parse_kernel(args.kernel)
     rhs = parse_rhs(args.rhs)
-    t0 = time.monotonic()
     coeffs = solve(kernel, rhs, args.n, backend=args.backend)
-    wall = int(1000 * (time.monotonic() - t0))
-    outputs: List[str] = []
-    if args.out:
-        if coeffs.backend == "exact":
-            rows = [
-                (n, coeffs.values[n].numerator, coeffs.values[n].denominator)
-                for n in range(1, coeffs.limit + 1)
-            ]
-            _write_csv(args.out, ("n", "a_num", "a_den"), rows)
-        else:
-            rows = [(n, _f(coeffs.values[n])) for n in range(1, coeffs.limit + 1)]
-            _write_csv(args.out, ("n", "a_n"), rows)
-        outputs.append(args.out)
-        _write_manifest(
-            args.out, cmdline, outputs, wall, kernel=kernel.spec, rhs=rhs.label,
-            n=args.n, backend=coeffs.backend,
-        )
-    a1 = coeffs.values[1]
-    an = coeffs.values[coeffs.limit]
-    if args.json:
-        head = [
-            str(coeffs.values[k]) if coeffs.backend == "exact" else float(coeffs.values[k])
-            for k in range(1, min(coeffs.limit, 10) + 1)
-        ]
-        print(json.dumps({
-            "kernel": kernel.spec, "rhs": rhs.label, "n": args.n,
-            "backend": coeffs.backend, "a_head": head, "wall_ms": wall,
-            "outputs": outputs,
-        }))
+    a, limit, exact = coeffs.values, coeffs.limit, coeffs.backend == "exact"
+    if exact:
+        header = ("n", "a_num", "a_den")
+        rows = ((n, a[n].numerator, a[n].denominator) for n in range(1, limit + 1))
     else:
-        print(
-            "solved %s | %s | n=%d backend=%s: a_1=%s a_%d=%s"
-            % (kernel.spec, rhs.label, args.n, coeffs.backend, a1, coeffs.limit, an)
-        )
-    return 0
-
-
-def _scan_rows(kernel, betas: List[float], n: int, tol: Tolerances):
-    rows = []
-    verdicts = []
-    for b in betas:
-        coeffs = solve(kernel, RhsSpec("power", b), n)
-        series = partial_sums(coeffs, default_checkpoints(n))
-        v = regime_check(series, b, kernel, tol)
-        verdicts.append(v)
-        pred = v.predicted_constant
-        if pred is None:
-            pred = complex(math.nan, math.nan)
-        rows.append((
-            "%g" % b, _f(v.fitted_slope), _f(v.slope_stderr),
-            _f(pred.real), _f(pred.imag),
-            _f(v.empirical_constant if v.empirical_constant is not None else math.nan),
-            v.verdict,
-        ))
-    return rows, verdicts
+        header = ("n", "a_n")
+        rows = ((n, _f(a[n])) for n in range(1, limit + 1))
+    head = [str(a[k]) if exact else float(a[k]) for k in range(1, min(limit, 10) + 1)]
+    return Result(
+        doc={
+            "kernel": kernel.spec, "rhs": rhs.label, "n": args.n,
+            "backend": coeffs.backend, "a_head": head, "wall_ms": None,
+            "outputs": [args.out] if args.out else [],
+        },
+        text="solved %s | %s | n=%d backend=%s: a_1=%s a_%d=%s"
+        % (kernel.spec, rhs.label, args.n, coeffs.backend, a[1], limit, a[limit]),
+        header=header,
+        rows=rows,
+        meta={"kernel": kernel.spec, "rhs": rhs.label, "n": args.n, "backend": coeffs.backend},
+    )
 
 
 _SCAN_HEADER = ("beta", "slope", "stderr", "pred_const_re", "pred_const_im", "emp_const", "verdict")
 
 
-def _cmd_scan(args: argparse.Namespace, cmdline: str) -> int:
+def _verdict_row(v) -> Tuple[str, ...]:
+    """One _SCAN_HEADER row; a missing predicted or empirical constant is nan."""
+    pred = v.predicted_constant
+    if pred is None:
+        pred = complex(math.nan, math.nan)
+    emp = v.empirical_constant if v.empirical_constant is not None else math.nan
+    return (
+        "%g" % v.beta, _f(v.fitted_slope), _f(v.slope_stderr),
+        _f(pred.real), _f(pred.imag), _f(emp), v.verdict,
+    )
+
+
+def _cmd_scan(args: argparse.Namespace) -> Result:
     kernel = parse_kernel(args.kernel)
     betas = _parse_betas(args.betas)
     tol = _tol_from(args)
-    t0 = time.monotonic()
-    rows, verdicts = _scan_rows(kernel, betas, args.n, tol)
-    wall = int(1000 * (time.monotonic() - t0))
-    outputs = []
-    if args.out:
-        _write_csv(args.out, _SCAN_HEADER, rows)
-        outputs.append(args.out)
-        _write_manifest(
-            args.out, cmdline, outputs, wall, kernel=kernel.spec, rhs="power:<grid>",
-            n=args.n, backend="float", tolerances=_tol_dict(tol),
-        )
-    if args.json:
-        print(json.dumps([dict(zip(_SCAN_HEADER, r)) for r in rows]))
-    else:
-        print(",".join(_SCAN_HEADER))
-        for r in rows:
-            print(",".join(str(c) for c in r))
-    return 0
+    rows = []
+    for b in betas:
+        coeffs = solve(kernel, RhsSpec("power", b), args.n)
+        series = partial_sums(coeffs, default_checkpoints(args.n))
+        rows.append(_verdict_row(regime_check(series, b, kernel, tol)))
+    return Result(
+        doc=[dict(zip(_SCAN_HEADER, r)) for r in rows],
+        text="\n".join(",".join(r) for r in [_SCAN_HEADER] + rows),
+        header=_SCAN_HEADER,
+        rows=rows,
+        meta=_grid_meta(kernel, args.n, tol),
+    )
 
 
-def _cmd_index(args: argparse.Namespace, cmdline: str) -> int:
+def _cmd_index(args: argparse.Namespace) -> Result:
     kernel = parse_kernel(args.kernel)
     grid = _parse_betas(args.grid)
     tol = _tol_from(args)
-    t0 = time.monotonic()
-    try:
-        est = estimate_index(kernel, grid, args.n, tol)
-    except BracketFailureError as exc:
-        print("index bracket failure: %s" % exc, file=sys.stderr)
-        return 1
-    wall = int(1000 * (time.monotonic() - t0))
-    outputs = []
-    if args.out:
-        rows = [(
-            "%g" % v.beta, _f(v.fitted_slope), _f(v.slope_stderr),
-            _f(v.predicted_constant.real if v.predicted_constant else math.nan),
-            _f(v.predicted_constant.imag if v.predicted_constant else 0.0),
-            _f(v.empirical_constant if v.empirical_constant is not None else math.nan),
-            v.verdict,
-        ) for v in est.grid]
-        _write_csv(args.out, _SCAN_HEADER, rows)
-        outputs.append(args.out)
-        _write_manifest(
-            args.out, cmdline, outputs, wall, kernel=kernel.spec, rhs="power:<grid>",
-            n=args.n, backend="float", tolerances=_tol_dict(tol),
-        )
-    if args.json:
-        print(json.dumps({
+    est = estimate_index(kernel, grid, args.n, tol)
+    return Result(
+        doc={
             "kernel": kernel.spec, "alpha_hat": est.alpha_hat,
             "beta_lo": est.beta_lo, "beta_hi": est.beta_hi,
-            "bisections": est.bisections, "wall_ms": wall,
-        }))
-    else:
-        print(
-            "alpha_hat=%.6g bracket=[%.6g, %.6g] after %d bisections (%s)"
-            % (est.alpha_hat, est.beta_lo, est.beta_hi, est.bisections, kernel.spec)
-        )
-    return 0
+            "bisections": est.bisections, "wall_ms": None,
+        },
+        text="alpha_hat=%.6g bracket=[%.6g, %.6g] after %d bisections (%s)"
+        % (est.alpha_hat, est.beta_lo, est.beta_hi, est.bisections, kernel.spec),
+        header=_SCAN_HEADER,
+        rows=[_verdict_row(v) for v in est.grid],
+        meta=_grid_meta(kernel, args.n, tol),
+    )
 
 
-def _cmd_hlr(args: argparse.Namespace, cmdline: str) -> int:
+def _cmd_hlr(args: argparse.Namespace) -> Result:
     kernel = parse_kernel(args.kernel)
     rhs = RhsSpec("delta") if args.beta == math.inf else RhsSpec("power", args.beta)
-    t0 = time.monotonic()
-    coeffs = solve(kernel, rhs, args.n)
-    rep = hlr_report(coeffs)
-    wall = int(1000 * (time.monotonic() - t0))
-    outputs = []
-    if args.out:
-        _write_csv(
-            args.out,
-            ("sup_abs", "growth_exponent", "prime_tail_mean", "limit", "primes_used"),
-            [(_f(rep.sup_abs), _f(rep.growth_exponent), _f(rep.prime_tail_mean),
-              rep.limit, rep.primes_used)],
-        )
-        outputs.append(args.out)
-        _write_manifest(
-            args.out, cmdline, outputs, wall, kernel=kernel.spec, rhs=rhs.label,
-            n=args.n, backend="float",
-        )
-    if args.json:
-        print(json.dumps({
+    rep = hlr_report(solve(kernel, rhs, args.n))
+    return Result(
+        doc={
             "sup_abs": rep.sup_abs, "growth_exponent": rep.growth_exponent,
             "prime_tail_mean": rep.prime_tail_mean, "limit": rep.limit,
             "primes_used": rep.primes_used,
-        }))
-    else:
-        print(
-            "sup|n a_n| = %.10g  growth_exponent = %.4g  prime_tail_mean = %.6g  (n <= %d)"
-            % (rep.sup_abs, rep.growth_exponent, rep.prime_tail_mean, rep.limit)
-        )
-    return 0
+        },
+        text="sup|n a_n| = %.10g  growth_exponent = %.4g  prime_tail_mean = %.6g  (n <= %d)"
+        % (rep.sup_abs, rep.growth_exponent, rep.prime_tail_mean, rep.limit),
+        header=("sup_abs", "growth_exponent", "prime_tail_mean", "limit", "primes_used"),
+        rows=[(_f(rep.sup_abs), _f(rep.growth_exponent), _f(rep.prime_tail_mean),
+               rep.limit, rep.primes_used)],
+        meta={"kernel": kernel.spec, "rhs": rhs.label, "n": args.n, "backend": "float"},
+    )
 
 
-def _cmd_mellin(args: argparse.Namespace, cmdline: str) -> int:
+def _cmd_mellin(args: argparse.Namespace) -> Result:
     kernel = parse_kernel(args.kernel)
     z = _parse_z(args.z)
-    t0 = time.monotonic()
     if args.method == "closed":
-        res = closed_transform(kernel, z)
+        tr = closed_transform(kernel, z)
+    elif isinstance(kernel, Scaled):
+        tr = limit_transform_wrt_f(kernel.base, kernel.f, z, args.n)
     else:
-        if isinstance(kernel, Scaled):
-            res = limit_transform_wrt_f(kernel.base, kernel.f, z, args.n)
-        else:
-            res = limit_transform(kernel, z, args.n)
-    wall = int(1000 * (time.monotonic() - t0))
-    outputs = []
-    if args.out:
-        _write_csv(
-            args.out,
-            ("kernel", "z_re", "z_im", "method", "value_re", "value_im", "n"),
-            [(kernel.spec, _f(z.real), _f(z.imag), res.method,
-              _f(res.value.real), _f(res.value.imag), res.n if res.n else "")],
-        )
-        outputs.append(args.out)
-        _write_manifest(args.out, cmdline, outputs, wall, kernel=kernel.spec, n=args.n)
-    if args.json:
-        print(json.dumps({
-            "kernel": kernel.spec, "z": [z.real, z.imag], "method": res.method,
-            "value": [res.value.real, res.value.imag], "n": res.n, "note": res.note,
-        }))
-    else:
-        tail = "  (%s)" % res.note if res.note else ""
-        print(_fmt_c(res.value) + tail)
-    return 0
+        tr = limit_transform(kernel, z, args.n)
+    return Result(
+        doc={
+            "kernel": kernel.spec, "z": [z.real, z.imag], "method": tr.method,
+            "value": [tr.value.real, tr.value.imag], "n": tr.n, "note": tr.note,
+        },
+        text=_fmt_c(tr.value) + ("  (%s)" % tr.note if tr.note else ""),
+        header=("kernel", "z_re", "z_im", "method", "value_re", "value_im", "n"),
+        rows=[(kernel.spec, _f(z.real), _f(z.imag), tr.method,
+               _f(tr.value.real), _f(tr.value.imag), tr.n if tr.n else "")],
+        meta={"kernel": kernel.spec, "n": args.n},
+    )
 
 
-def _cmd_zeros(args: argparse.Namespace, cmdline: str) -> int:
+def _cmd_zeros(args: argparse.Namespace) -> Result:
     lo, hi = _parse_im_range(args.im)
-    t0 = time.monotonic()
     zs = phi_f_zeros(args.q, (lo, hi))
     kernel = Scaled(Ingham(), FSpec("exp_plus_one", q=args.q))
-    rows = []
-    for z in zs:
-        av = abs(closed_transform(kernel, z).value)
-        rows.append((args.q, _f(z.real), _f(z.imag), _f(av)))
-    wall = int(1000 * (time.monotonic() - t0))
-    outputs = []
-    if args.out:
-        _write_csv(args.out, ("q", "re", "im", "abs_value"), rows)
-        outputs.append(args.out)
-        _write_manifest(args.out, cmdline, outputs, wall, kernel=kernel.spec)
-    if args.json:
-        print(json.dumps([{"q": args.q, "re": z.real, "im": z.imag} for z in zs]))
-    else:
-        print("%d zero(s) of the f-relative transform, q=%d, Im in [%g, %g]:"
-              % (len(zs), args.q, lo, hi))
-        for z in zs:
-            print("  %s" % _fmt_c(z))
-    return 0
+    title = "%d zero(s) of the f-relative transform, q=%d, Im in [%g, %g]:" % (
+        len(zs), args.q, lo, hi)
+    return Result(
+        doc=[{"q": args.q, "re": z.real, "im": z.imag} for z in zs],
+        text="\n".join([title] + ["  %s" % _fmt_c(z) for z in zs]),
+        header=("q", "re", "im", "abs_value"),
+        rows=[(args.q, _f(z.real), _f(z.imag), _f(abs(closed_transform(kernel, z).value)))
+              for z in zs],
+        meta={"kernel": kernel.spec},
+    )
 
 
-def _cmd_count(args: argparse.Namespace, cmdline: str) -> int:
+def _cmd_count(args: argparse.Namespace) -> Result:
     spec = parse_count_what(args.what, args.n)
     need = spec.n
     if spec.kind == "prime_powers":
         need = spec.p * spec.n
     elif spec.kind == "smooth":
-        prod = 1
-        for qq in spec.primes:
-            prod *= qq
-        need = prod * spec.n
-    table = _get_table(need, args.sieve_cache)
-    t0 = time.monotonic()
-    formula = count_formula(spec, table)
-    oracle_val: Optional[int] = None
-    match = True
-    if args.oracle:
-        oracle_val = count_oracle(spec)
-        match = formula == oracle_val
-    wall = int(1000 * (time.monotonic() - t0))
-    outputs = []
-    if args.out:
-        _write_csv(
-            args.out,
-            ("what", "n", "formula", "oracle", "match"),
-            [(spec.label, spec.n, formula,
-              oracle_val if oracle_val is not None else "",
-              str(match).lower() if args.oracle else "")],
-        )
-        outputs.append(args.out)
-        _write_manifest(args.out, cmdline, outputs, wall, n=args.n)
-    if args.json:
-        print(json.dumps({
-            "what": spec.label, "n": spec.n, "formula": formula,
-            "oracle": oracle_val, "match": match if args.oracle else None,
-        }))
-    elif args.oracle:
-        print("formula=%d oracle=%d match=%s" % (formula, oracle_val, str(match).lower()))
-    else:
-        print("formula=%d" % formula)
-    return 0 if match else 1
+        need = math.prod(spec.primes) * spec.n
+    formula = count_formula(spec, _get_table(need, args.sieve_cache))
+    oracle = count_oracle(spec) if args.oracle else None
+    match = None if oracle is None else formula == oracle
+    text = "formula=%d" % formula
+    if oracle is not None:
+        text += " oracle=%d match=%s" % (oracle, str(match).lower())
+    return Result(
+        doc={"what": spec.label, "n": spec.n, "formula": formula, "oracle": oracle, "match": match},
+        text=text,
+        header=("what", "n", "formula", "oracle", "match"),
+        rows=[(spec.label, spec.n, formula, "" if oracle is None else oracle,
+               "" if match is None else str(match).lower())],
+        meta={"n": args.n},
+        code=1 if match is False else 0,
+    )
 
 
-def _cmd_jordan(args: argparse.Namespace, cmdline: str) -> int:
-    table = _get_table(args.x, args.sieve_cache)
-    t0 = time.monotonic()
-    rep = jordan_partial_check(table, args.beta, args.x)
-    wall = int(1000 * (time.monotonic() - t0))
-    outputs = []
-    if args.out:
-        rows = [(int(x), _f(v)) for x, v in zip(rep.checkpoints, rep.values)]
-        _write_csv(args.out, ("x", "jordan_sum"), rows)
-        outputs.append(args.out)
-        _write_manifest(
-            args.out, cmdline, outputs, wall, rhs="jordan:%g" % args.beta, n=args.x,
-        )
-    if args.json:
-        print(json.dumps({
+def _cmd_jordan(args: argparse.Namespace) -> Result:
+    rep = jordan_partial_check(_get_table(args.x, args.sieve_cache), args.beta, args.x)
+    return Result(
+        doc={
             "beta": rep.beta, "x": rep.limit, "slope": rep.slope, "stderr": rep.stderr,
             "predicted_constant": rep.predicted_constant,
             "empirical_constant": rep.empirical_constant,
-        }))
-    else:
-        print(
-            "jordan beta=%g x<=%d: slope=%.4f (expect %.4f), constant=%.6g (predicted %.6g)"
-            % (rep.beta, rep.limit, rep.slope, 1.0 - rep.beta,
-               rep.empirical_constant, rep.predicted_constant)
-        )
-    return 0
+        },
+        text="jordan beta=%g x<=%d: slope=%.4f (expect %.4f), constant=%.6g (predicted %.6g)"
+        % (rep.beta, rep.limit, rep.slope, 1.0 - rep.beta,
+           rep.empirical_constant, rep.predicted_constant),
+        header=("x", "jordan_sum"),
+        rows=[(int(x), _f(v)) for x, v in zip(rep.checkpoints, rep.values)],
+        meta={"rhs": "jordan:%g" % args.beta, "n": args.x},
+    )
 
 
-def _cmd_mertens(args: argparse.Namespace, cmdline: str) -> int:
-    table = _get_table(args.x, args.sieve_cache)
-    t0 = time.monotonic()
-    rep = mertens_ratio_report(table, args.x)
-    wall = int(1000 * (time.monotonic() - t0))
-    outputs = []
-    if args.out:
-        _write_csv(args.out, ("limit", "max_ratio", "argmax_x"),
-                   [(rep.limit, _f(rep.max_ratio), rep.argmax_x)])
-        outputs.append(args.out)
-        _write_manifest(args.out, cmdline, outputs, wall, n=args.x)
-    if args.json:
-        print(json.dumps({
-            "x": rep.limit, "max_ratio": rep.max_ratio, "argmax_x": rep.argmax_x,
-        }))
-    else:
-        print("max |M(x)|/sqrt(x) over 2<=x<=%d: %.6f at x=%d"
-              % (rep.limit, rep.max_ratio, rep.argmax_x))
-    return 0
+def _cmd_mertens(args: argparse.Namespace) -> Result:
+    rep = mertens_ratio_report(_get_table(args.x, args.sieve_cache), args.x)
+    return Result(
+        doc={"x": rep.limit, "max_ratio": rep.max_ratio, "argmax_x": rep.argmax_x},
+        text="max |M(x)|/sqrt(x) over 2<=x<=%d: %.6f at x=%d"
+        % (rep.limit, rep.max_ratio, rep.argmax_x),
+        header=("limit", "max_ratio", "argmax_x"),
+        rows=[(rep.limit, _f(rep.max_ratio), rep.argmax_x)],
+        meta={"n": args.x},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +577,7 @@ def _checks_full() -> List[Tuple[str, Callable[[], Tuple[bool, str]]]]:
     return [("index-estimation", index)]
 
 
-def _cmd_verify(args: argparse.Namespace, cmdline: str) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     suites = {
         "exact": _checks_exact(),
         "asymptotic": _checks_asymptotic(),
@@ -695,32 +585,27 @@ def _cmd_verify(args: argparse.Namespace, cmdline: str) -> int:
     }
     if args.suite not in suites:
         raise UsageError("unknown suite %r (exact|asymptotic|full)" % (args.suite,))
-    t0 = time.monotonic()
     results = []
-    failed = 0
     for name, fn in suites[args.suite]:
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
-        results.append((name, ok, detail))
-        if not ok:
-            failed += 1
-        print("%s %s: %s" % ("PASS" if ok else "FAIL", name, detail))
-    wall = int(1000 * (time.monotonic() - t0))
-    print("suite=%s checks=%d failed=%d wall_ms=%d" % (args.suite, len(results), failed, wall))
-    outputs = []
-    if args.out:
-        _write_csv(args.out, ("check", "status", "detail"),
-                   [(n, "PASS" if ok else "FAIL", d) for n, ok, d in results])
-        outputs.append(args.out)
-        _write_manifest(args.out, cmdline, outputs, wall)
-    if args.json:
-        print(json.dumps({
-            "suite": args.suite, "failed": failed, "wall_ms": wall,
-            "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in results],
-        }))
-    return 0 if failed == 0 else 1
+        results.append((name, "PASS" if ok else "FAIL", detail))
+    failed = sum(status == "FAIL" for _, status, _ in results)
+    lines = ["%s %s: %s" % (status, name, detail) for name, status, detail in results]
+    lines.append("suite=%s checks=%d failed=%d" % (args.suite, len(results), failed))
+    return Result(
+        doc={
+            "suite": args.suite, "failed": failed, "wall_ms": None,
+            "checks": [{"name": name, "ok": status == "PASS", "detail": detail}
+                       for name, status, detail in results],
+        },
+        text="\n".join(lines),
+        header=("check", "status", "detail"),
+        rows=results,
+        code=0 if failed == 0 else 1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -860,17 +745,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = ap.parse_args(list(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    cmdline = "raf " + " ".join(str(a) for a in argv)
     try:
         _apply_config(args)
-        return _HANDLERS[args.command](args, cmdline)
+        t0 = time.monotonic()
+        res = _HANDLERS[args.command](args)
+        wall_ms = int(1000 * (time.monotonic() - t0))
+        _emit(res, args, "raf " + " ".join(str(a) for a in argv), wall_ms)
+        return res.code
+    except BracketFailureError as exc:
+        print("index bracket failure: %s" % exc, file=sys.stderr)
+        return 1
     except VerificationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (UsageError, KernelDomainError, UnsupportedKernelError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (PoleError, RegionError, ValueError) as exc:
+    except (UsageError, KernelDomainError, UnsupportedKernelError,
+            PoleError, RegionError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

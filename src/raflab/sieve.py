@@ -175,11 +175,21 @@ def totient_table(limit: int) -> np.ndarray:
 
 
 def save_cache(table: MobiusTable, path: str) -> None:
-    """Write the binary mu cache: magic, little-endian u64 limit, mu bytes."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", table.limit))
-        fh.write(table.mu.astype(np.int8).tobytes())
+    """Write the binary mu cache: magic, little-endian u64 limit, mu bytes.
+
+    The bytes go to a temp file next to path, which replaces path only once
+    it is complete: a failed write leaves an existing cache as it was.
+    """
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CACHE_MAGIC)
+            fh.write(struct.pack("<Q", table.limit))
+            fh.write(table.mu.astype(np.int8).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_cache(path: str) -> MobiusTable:

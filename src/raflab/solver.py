@@ -342,16 +342,39 @@ def _spot_check(coeffs: Coefficients) -> None:
             raise VerificationError("a_1 != 1 on exact backend")
     elif g11 == 1.0 and not abs(coeffs.values[1] - 1.0) < 1e-12:
         raise VerificationError("a_1 = %g, expected 1" % coeffs.values[1])
-    res = residual(coeffs, coeffs.limit)
+    n = coeffs.limit
+    l0, rfl = _residual_rhs(coeffs)
+    res = _residual(coeffs, n, l0, rfl)
     if coeffs.backend == "exact":
         if res != 0:
-            raise VerificationError("nonzero exact residual at n=%d" % coeffs.limit)
+            raise VerificationError("nonzero exact residual at n=%d" % n)
     else:
-        l0 = _rhs_l0(coeffs.rhs, coeffs.limit)
-        rn = coeffs.rhs.values_float(coeffs.limit, l0)[coeffs.limit]
-        tol = 1e-9 * max(1.0, abs(rn)) * coeffs.limit
+        tol = 1e-9 * max(1.0, abs(rfl[n])) * n
         if not abs(res) <= tol:
-            raise VerificationError("residual %g at n=%d exceeds %g" % (res, coeffs.limit, tol))
+            raise VerificationError("residual %g at n=%d exceeds %g" % (res, n, tol))
+
+
+def _residual_rhs(coeffs: Coefficients):
+    """(l0, R) for _residual: the L0 table (l0pow only) and, on the float
+    backend, the float R array; built once per caller."""
+    l0 = _rhs_l0(coeffs.rhs, coeffs.limit)
+    if coeffs.backend == "exact":
+        return l0, None
+    return l0, coeffs.rhs.values_float(coeffs.limit, l0)
+
+
+def _residual(coeffs: Coefficients, n: int, l0, rfl):
+    """sum_{k<=n} a_k G(n,k) - R(n), with l0 and R from _residual_rhs."""
+    if not (1 <= n <= coeffs.limit):
+        raise IndexError("n outside solved range")
+    if coeffs.backend == "exact":
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            # a_k * (k*floor(n/k))/n, all exact
+            acc += coeffs.values[k] * Fraction(k * (n // k), n)
+        return acc - coeffs.rhs.value_exact(n, l0)
+    row = coeffs.kernel.eval_row(n, np.arange(1, n + 1, dtype=np.int64))
+    return math.fsum((row * coeffs.values[1 : n + 1]).tolist()) - rfl[n]
 
 
 def residual(coeffs: Coefficients, n: int):
@@ -360,19 +383,7 @@ def residual(coeffs: Coefficients, n: int):
     Exact backend returns an exact Fraction (ingham only); float backend
     uses compensated (fsum) accumulation so the report is trustworthy.
     """
-    if not (1 <= n <= coeffs.limit):
-        raise IndexError("n outside solved range")
-    l0 = _rhs_l0(coeffs.rhs, coeffs.limit)
-    if coeffs.backend == "exact":
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            # a_k * (k*floor(n/k))/n, all exact
-            acc += coeffs.values[k] * Fraction(k * (n // k), n)
-        return acc - coeffs.rhs.value_exact(n, l0)
-    row = coeffs.kernel.eval_row(n, np.arange(1, n + 1, dtype=np.int64))
-    acc_f = math.fsum((row * coeffs.values[1 : n + 1]).tolist())
-    rn = coeffs.rhs.values_float(coeffs.limit, l0)[n]
-    return acc_f - rn
+    return _residual(coeffs, n, *_residual_rhs(coeffs))
 
 
 def verify_residuals(coeffs: Coefficients, ns: Optional[Sequence[int]] = None) -> float:
@@ -388,10 +399,9 @@ def verify_residuals(coeffs: Coefficients, ns: Optional[Sequence[int]] = None) -
         )
         ns = [n for n in ns if n <= coeffs.limit]
     worst = 0.0
-    l0 = _rhs_l0(coeffs.rhs, coeffs.limit)
-    rfl = coeffs.rhs.values_float(coeffs.limit, l0)
+    l0, rfl = _residual_rhs(coeffs)
     for n in ns:
-        res = residual(coeffs, n)
+        res = _residual(coeffs, n, l0, rfl)
         if coeffs.backend == "exact":
             if res != 0:
                 return math.inf

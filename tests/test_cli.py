@@ -316,6 +316,42 @@ def test_verify_exact_suite_passes(capsys):
     assert len(lines) == 7  # six checks + summary
 
 
+# ------------------------------------------------------- one output path
+
+_SCAN_HEADER = ["beta", "slope", "stderr", "pred_const_re", "pred_const_im", "emp_const", "verdict"]
+
+# argv at small sizes, and the --out CSV header, for every subcommand
+_EVERY_SUBCOMMAND = [
+    (["solve", "--n", "50"], ["n", "a_n"]),
+    (["scan", "--betas", "0.5:0.5:1", "--n", "2000"], _SCAN_HEADER),
+    (["index", "--n", "5000"], _SCAN_HEADER),
+    (["hlr", "--beta", "1", "--n", "2000"],
+     ["sup_abs", "growth_exponent", "prime_tail_mean", "limit", "primes_used"]),
+    (["mellin"], ["kernel", "z_re", "z_im", "method", "value_re", "value_im", "n"]),
+    (["zeros", "--q", "2", "--im", "0:10"], ["q", "re", "im", "abs_value"]),
+    (["count", "--what", "elias", "--n", "1000", "--oracle"],
+     ["what", "n", "formula", "oracle", "match"]),
+    (["jordan", "--beta", "0.25", "--x", "2000"], ["x", "jordan_sum"]),
+    (["mertens", "--x", "1000"], ["limit", "max_ratio", "argmax_x"]),
+    (["verify", "--suite", "exact"], ["check", "status", "detail"]),
+]
+
+
+@pytest.mark.parametrize("argv,header", _EVERY_SUBCOMMAND, ids=[a[0] for a, _ in _EVERY_SUBCOMMAND])
+def test_json_stdout_is_one_document(capsys, tmp_path, argv, header):
+    out_path = tmp_path / "out.csv"
+    rc, out, _ = run(capsys, argv + ["--json", "--out", str(out_path)])
+    assert rc == 0
+    doc = json.loads(out)
+    # only the docs that always carried a wall time carry one
+    assert (isinstance(doc, dict) and "wall_ms" in doc) == (argv[0] in ("solve", "index", "verify"))
+    with open(out_path, newline="") as fh:
+        assert next(csv.reader(fh)) == header
+    man = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert sorted(man.keys()) == _MANIFEST_KEYS
+    assert man["cmd"] == "raf " + " ".join(argv + ["--json", "--out", str(out_path)])
+
+
 # ----------------------------------------------------------------- sieve cache
 
 

@@ -1,6 +1,8 @@
 import math
+import os
 import struct
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,6 +132,21 @@ def test_cache_rejects_truncated(tmp_path, table_small):
         path.write_bytes(bad)
         with pytest.raises(ValueError):
             load_cache(str(path))
+
+
+def test_failed_save_keeps_old_cache(tmp_path, table_small):
+    path = tmp_path / "sieve.bin"
+    save_cache(table_small, str(path))
+    before = path.read_bytes()
+
+    class FailingMu:
+        def astype(self, dtype):
+            raise OSError("disk full")  # after the header is written
+
+    with pytest.raises(OSError, match="disk full"):
+        save_cache(SimpleNamespace(limit=table_small.limit, mu=FailingMu()), str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["sieve.bin"]
 
 
 # ------------------------------------------------------------ divisor_pass

@@ -191,6 +191,25 @@ def test_residual_identity_holds():
         assert verify_residuals(c) <= 1.0
 
 
+@pytest.mark.parametrize("kern,rhs,limit", [
+    (Ingham(), RhsSpec("power", 0.5), 2000),
+    (Ingham(), RhsSpec("delta"), 2000),
+    (Ingham(), RhsSpec("l0pow", 0.5), 2000),
+    (Affine(0.3), RhsSpec("power", 0.25), 400),
+])
+def test_verify_residuals_matches_public_residual(kern, rhs, limit):
+    # verify_residuals reads R once; it must still report exactly what the
+    # per-n public residual() gives over its default sample
+    c = solve(kern, rhs, limit)
+    sample = sorted(set(range(1, min(limit, 64) + 1))
+                    | {min(limit, int(round(64 * 1.5**j))) for j in range(64)})
+    r = rhs.values_float(limit)
+    expect = max(abs(residual(c, n)) / (1e-9 * max(1.0, abs(r[n])) * n) for n in sample)
+    assert verify_residuals(c) == expect
+    assert verify_residuals(c, [limit, 7]) == max(
+        abs(residual(c, n)) / (1e-9 * max(1.0, abs(r[n])) * n) for n in (limit, 7))
+
+
 def test_residual_exact_is_zero():
     c = solve(Ingham(), RhsSpec("power", 1.0), 120, backend="exact")
     assert residual(c, 120) == 0
