@@ -223,7 +223,9 @@ def _cmd_solve(args: argparse.Namespace) -> Result:
     kernel = parse_kernel(args.kernel)
     rhs = parse_rhs(args.rhs)
     coeffs = solve(kernel, rhs, args.n, backend=args.backend)
-    a, limit, exact = coeffs.values, coeffs.limit, coeffs.backend == "exact"
+    a = coeffs.values
+    limit = coeffs.limit
+    exact = coeffs.backend == "exact"
     if exact:
         header = ("n", "a_num", "a_den")
         rows = ((n, a[n].numerator, a[n].denominator) for n in range(1, limit + 1))
