@@ -11,6 +11,12 @@ Each handler returns a Result; main() alone times it, writes the CSV and
 manifest, and prints either the JSON document or the plain text.  wall_ms
 covers the whole subcommand, sieve or cache load included.
 
+`verify --suite exact|asymptotic|full` runs the claims of raflab.claims,
+one PASS/FAIL line each; a claim that raises counts as FAIL.  `full` runs
+every claim, so it is the command-line form of tests/test_acceptance.py.
+A --sieve-cache file that load_cache rejects is reported with one
+`warning:` line on stderr, then rebuilt and overwritten.
+
 Exit codes: 0 ok; 1 verification failure (an asserted identity or
 tolerance was violated) or an index bracket failure; 2 usage or I/O error.
 """
@@ -25,14 +31,10 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import __version__
+from . import __version__, claims
 from .asymptotics import (
-    DEFAULT_TOL,
     BracketFailureError,
     Tolerances,
     default_checkpoints,
@@ -42,15 +44,7 @@ from .asymptotics import (
     mertens_ratio_report,
     regime_check,
 )
-from .counting import (
-    count_formula,
-    count_oracle,
-    elias_scan,
-    log2_floor_table,
-    meissel_scan,
-    parse_count_what,
-    smooth_bridge_scan,
-)
+from .counting import count_formula, count_oracle, parse_count_what
 from .kernels import (
     FSpec,
     Ingham,
@@ -68,15 +62,7 @@ from .mellin import (
     phi_f_zeros,
 )
 from .sieve import MobiusTable, load_cache, save_cache, sieve
-from .solver import (
-    RhsSpec,
-    VerificationError,
-    delta_coeff_closed,
-    parse_rhs,
-    partial_sums,
-    partial_sums_exact,
-    solve,
-)
+from .solver import RhsSpec, VerificationError, parse_rhs, partial_sums, solve
 
 # ---------------------------------------------------------------------------
 # small parsing/formatting helpers
@@ -142,8 +128,11 @@ def _get_table(limit: int, cache: Optional[str]) -> MobiusTable:
             t = load_cache(cache)
             if t.limit >= limit:
                 return t
-        except (OSError, ValueError):
+        except OSError:
             pass
+        except ValueError as exc:
+            print("warning: sieve cache %s rejected: %s; rebuilding" % (cache, exc),
+                  file=sys.stderr)
         t = sieve(limit)
         try:
             save_cache(t, cache)
@@ -409,203 +398,26 @@ def _cmd_mertens(args: argparse.Namespace) -> Result:
     )
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-# ---------------------------------------------------------------------------
-
-
-def _checks_exact() -> List[Tuple[str, Callable[[], Tuple[bool, str]]]]:
-    def meissel() -> Tuple[bool, str]:
-        table = sieve(100_000)
-        t = meissel_scan(table, 100_000)
-        bad = np.nonzero(t[1:] != 1)[0]
-        return len(bad) == 0, "all n <= 1e5" if len(bad) == 0 else "fails at n=%d" % (bad[0] + 1)
-
-    def elias() -> Tuple[bool, str]:
-        table = sieve(100_000)
-        t = elias_scan(table, 100_000)
-        expect = 1 + 2 * log2_floor_table(100_000)
-        ok = bool(np.all(t[1:] == expect[1:]))
-        return ok, "1+2*floor(log2 n) for all n <= 1e5" if ok else "mismatch"
-
-    def beta1() -> Tuple[bool, str]:
-        table = sieve(10_000)
-        coeffs = solve(Ingham(), RhsSpec("power", 1.0), 10_000, backend="exact")
-        for n in range(1, 10_001):
-            if coeffs.values[n] != Fraction(int(table.mu[n]), n):
-                return False, "a_%d != mu/n" % n
-        return True, "a_n = mu(n)/n for n <= 1e4"
-
-    def beta_inf() -> Tuple[bool, str]:
-        table = sieve(10_000)
-        coeffs = solve(Ingham(), RhsSpec("delta"), 10_000, backend="exact")
-        closed = delta_coeff_closed(table, 10_000)
-        for n in range(1, 10_001):
-            if coeffs.values[n] * n != closed[n]:
-                return False, "n*a_n mismatch at n=%d" % n
-        cps = list(range(200, 10_001, 200))
-        _, a1 = partial_sums_exact(coeffs, cps)
-        for x, v in zip(cps, a1):
-            if v != int(table.mertens[x]) - int(table.mertens[x // 2]):
-                return False, "A1(%d) != M - M(x/2)" % x
-        return True, "delta solve = closed form; A1 = M(x)-M(x/2) at 50 checkpoints"
-
-    def mu6_rhs() -> Tuple[bool, str]:
-        table = sieve(30_000)
-        coeffs = solve(Ingham(), RhsSpec("l0pow", 1.0), 5_000, backend="exact")
-        for k in range(1, 5_001):
-            if coeffs.values[k] * k != int(table.mu[6 * k]):
-                return False, "a_%d != mu(6k)/k" % k
-        return True, "3-smooth RHS gives a_k = mu(6k)/k for k <= 5000"
-
-    def bridge() -> Tuple[bool, str]:
-        table = sieve(60_000)
-        lhs = smooth_bridge_scan(table, 10_000)
-        from .solver import l0_three_smooth
-
-        rhs = l0_three_smooth(10_000)
-        ok = bool(np.all(lhs[1:] == rhs[1:]))
-        return ok, "sum mu(6k) floor(n/k) = 3-smooth count, n <= 1e4" if ok else "mismatch"
-
-    return [
-        ("meissel-identity", meissel),
-        ("elias-identity", elias),
-        ("beta1-exact", beta1),
-        ("delta-exact", beta_inf),
-        ("mu6-closed-form", mu6_rhs),
-        ("smooth-bridge", bridge),
-    ]
-
-
-def _checks_asymptotic() -> List[Tuple[str, Callable[[], Tuple[bool, str]]]]:
-    def regimes() -> Tuple[bool, str]:
-        kernel = Ingham()
-        tol = Tolerances()
-        for b in (-1.0, 0.25):
-            coeffs = solve(kernel, RhsSpec("power", b), 1_000_000)
-            series = partial_sums(coeffs, default_checkpoints(1_000_000))
-            v = regime_check(series, b, kernel, tol)
-            if v.verdict != "asymptotic_match":
-                return False, "beta=%g: %s (slope %.3f)" % (b, v.verdict, v.fitted_slope)
-        for b in (0.75, 1.0, 2.0):
-            coeffs = solve(kernel, RhsSpec("power", b), 1_000_000)
-            series = partial_sums(coeffs, default_checkpoints(1_000_000))
-            v = regime_check(series, b, kernel, tol)
-            if v.fitted_slope > -0.35:
-                return False, "beta=%g: slope %.3f > -0.35" % (b, v.fitted_slope)
-        return True, "match at beta in {-1, 0.25}; decay at {0.75, 1, 2}"
-
-    def mellin_agree() -> Tuple[bool, str]:
-        kernel = Ingham()
-        for z in (-0.5, -1.0, -2.0, complex(-1, 1)):
-            c = closed_transform(kernel, z).value
-            l = limit_transform(kernel, z, 100_000).value
-            if abs(l - c) / abs(c) >= 0.01:
-                return False, "z=%s: rel err %.3g" % (z, abs(l - c) / abs(c))
-        return True, "limit vs closed < 1% at n=1e5"
-
-    def scaled() -> Tuple[bool, str]:
-        v = limit_transform_wrt_f(Ingham(), FSpec("exp_plus_one", q=2), -1.0, 60).value
-        if abs(v - 5.0 / 6.0) > 1e-6:
-            return False, "wrt-f value %.9f != 5/6" % v.real
-        for q in range(2, 11):
-            for z in phi_f_zeros(q, (0.0, 2.0)):
-                if abs(z.real - 0.5) > 1e-9:
-                    return False, "q=%d zero off critical line" % q
-        return True, "wrt-f = 5/6 at q=2; zeros on Re z = 1/2 for q in 2..10"
-
-    def hlr() -> Tuple[bool, str]:
-        coeffs = solve(Ingham(), RhsSpec("power", 1.0), 100_000, backend="exact")
-        rep = hlr_report(coeffs)
-        if rep.sup_abs != 1.0:
-            return False, "beta=1 sup = %g != 1" % rep.sup_abs
-        for b in (0.25, 0.5, 2.0):
-            rep = hlr_report(solve(Ingham(), RhsSpec("power", b), 100_000))
-            if rep.growth_exponent >= 0.05:
-                return False, "beta=%g growth %.3g" % (b, rep.growth_exponent)
-            if not (-1.05 <= rep.prime_tail_mean <= -0.95):
-                return False, "beta=%g tail mean %.3f" % (b, rep.prime_tail_mean)
-        return True, "sup=1 at beta=1; growth<0.05 and tail mean ~ -1 at {0.25,0.5,2}"
-
-    def jordan() -> Tuple[bool, str]:
-        table = sieve(1_000_000)
-        rep = jordan_partial_check(table, 0.25, 1_000_000)
-        if abs(rep.slope - 0.75) > 0.05:
-            return False, "slope %.3f" % rep.slope
-        if abs(rep.empirical_constant - rep.predicted_constant) > 0.05 * abs(
-            rep.predicted_constant
-        ):
-            return False, "constant %.4f vs %.4f" % (
-                rep.empirical_constant, rep.predicted_constant)
-        return True, "exponent 0.75 and constant within 5%"
-
-    def mertens() -> Tuple[bool, str]:
-        table = sieve(1_000_000)
-        rep = mertens_ratio_report(table, 1_000_000)
-        return rep.max_ratio < 1.0, "max ratio %.4f at x=%d" % (rep.max_ratio, rep.argmax_x)
-
-    return [
-        ("regime-suite", regimes),
-        ("mellin-agreement", mellin_agree),
-        ("scaled-transform", scaled),
-        ("hlr-suite", hlr),
-        ("jordan-sums", jordan),
-        ("mertens-ratio", mertens),
-    ]
-
-
-def _checks_full() -> List[Tuple[str, Callable[[], Tuple[bool, str]]]]:
-    def index() -> Tuple[bool, str]:
-        # Generic kernels at N=2e4 sit deep in their transients (corrections
-        # O(x^{beta-alpha}), log factors for the log kernel), so the
-        # bracketing runs pin wider, pilot-calibrated tolerances; the
-        # constant check is the sharp detector — 1/G*(beta) diverges and
-        # flips sign across the index while the measured value stays put.
-        wide = Tolerances(slope_tol_low=0.2, slope_tol_high=0.2, const_tol=0.6)
-        disc_tol = Tolerances(slope_tol_low=0.1, slope_tol_high=0.1, const_tol=0.15)
-        grid9 = [round(0.1 * i, 2) for i in range(1, 10)]
-        for spec, grid, n, tol, lo, hi in (
-            ("affine:0.5", grid9, 20_000, wide, 0.4, 0.6),
-            ("log:0.5", grid9, 20_000, wide, 0.4, 0.6),
-            ("disc:2", _parse_betas("0.5:1.4:0.1"), 20_000, disc_tol, 0.85, 1.15),
-            ("ingham", grid9, 1_000_000, DEFAULT_TOL, 0.35, 0.65),
-        ):
-            est = estimate_index(parse_kernel(spec), grid, n, tol)
-            if not (lo <= est.alpha_hat <= hi):
-                return False, "%s alpha_hat %.3f outside [%g, %g]" % (
-                    spec, est.alpha_hat, lo, hi)
-        return True, "affine/log ~ 0.5, disc(2) ~ 1, ingham in [0.35, 0.65]"
-
-    return [("index-estimation", index)]
-
-
 def _cmd_verify(args: argparse.Namespace) -> Result:
-    suites = {
-        "exact": _checks_exact(),
-        "asymptotic": _checks_asymptotic(),
-        "full": _checks_exact() + _checks_asymptotic() + _checks_full(),
-    }
-    if args.suite not in suites:
-        raise UsageError("unknown suite %r (exact|asymptotic|full)" % (args.suite,))
     results = []
-    for name, fn in suites[args.suite]:
+    for claim in claims.suite(args.suite):
         try:
-            ok, detail = fn()
+            ok, detail = claim.check()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
-        results.append((name, "PASS" if ok else "FAIL", detail))
-    failed = sum(status == "FAIL" for _, status, _ in results)
-    lines = ["%s %s: %s" % (status, name, detail) for name, status, detail in results]
+        results.append((claim.name, bool(ok), detail))  # ok may be a numpy bool
+    failed = sum(not ok for _, ok, _ in results)
+    lines = [claims.status_line(*r) for r in results]
     lines.append("suite=%s checks=%d failed=%d" % (args.suite, len(results), failed))
     return Result(
         doc={
             "suite": args.suite, "failed": failed, "wall_ms": None,
-            "checks": [{"name": name, "ok": status == "PASS", "detail": detail}
-                       for name, status, detail in results],
+            "checks": [{"name": name, "ok": ok, "detail": detail}
+                       for name, ok, detail in results],
         },
         text="\n".join(lines),
         header=("check", "status", "detail"),
-        rows=results,
+        rows=[(name, "PASS" if ok else "FAIL", detail) for name, ok, detail in results],
         code=0 if failed == 0 else 1,
     )
 
@@ -692,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("verify", help="bundled verification suites")
-    sp.add_argument("--suite", default=None, choices=("exact", "asymptotic", "full"))
+    sp.add_argument("--suite", default=None, choices=claims.SUITES)
     _add_common(sp)
 
     return ap

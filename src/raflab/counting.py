@@ -333,14 +333,6 @@ def log2_floor_table(limit: int) -> np.ndarray:
     return out
 
 
-def mu6_partial_sums(table: MobiusTable, limit: int) -> np.ndarray:
-    """S[x] = sum_{n<=x} mu(6n) for x = 0..limit (error sum of the 3-smooth bridge)."""
-    if 6 * limit > table.limit:
-        raise ValueError("needs mu up to 6*limit = %d" % (6 * limit))
-    vals = np.concatenate(([0], table.mu[6 : 6 * limit + 1 : 6])).astype(np.int64)
-    return np.cumsum(vals)
-
-
 # --------------------------------------------------------------------------
 # Ramanujan 3-smooth comparison
 # --------------------------------------------------------------------------

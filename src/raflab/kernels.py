@@ -131,10 +131,6 @@ class Ingham(Kernel):
         self._check(n, k)
         return (k * (n // k)) / n
 
-    def eval_exact(self, n: int, k: int) -> Fraction:
-        self._check(n, k)
-        return Fraction(k * (n // k), n)
-
     def eval_row(self, n: int, ks: np.ndarray) -> np.ndarray:
         ks = np.asarray(ks, dtype=np.int64)
         return (ks * (n // ks)) / float(n)

@@ -2,7 +2,6 @@
 
 Provides:
 - sieve(limit)         -> MobiusTable (mu, Mertens prefix sums, spf)
-- divisors(n, table)   -> ascending divisor list via the spf factorization
 - totient_table(limit) -> Euler phi for all n <= limit
 - save_cache / load_cache -> binary mu cache ("RAFSIEVE1" format)
 - divisor_pass(target, weights, sign) -> target[i*d] += sign*weights[d] for
@@ -117,39 +116,6 @@ def _mertens(mu: np.ndarray) -> np.ndarray:
     mertens = np.zeros(len(mu), dtype=np.int64)
     np.cumsum(mu[1:], dtype=np.int64, out=mertens[1:])
     return mertens
-
-
-def factorize(n: int, table: MobiusTable) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n in ascending prime order, via spf."""
-    if n < 1 or n > table.limit:
-        raise ValueError("n=%d out of table range [1, %d]" % (n, table.limit))
-    out: list[tuple[int, int]] = []
-    spf = table.spf
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
-def divisors(n: int, table: MobiusTable) -> list[int]:
-    """Ascending list of all divisors of n, from the spf factorization."""
-    if n < 1 or n > table.limit:
-        raise ValueError("n=%d out of table range [1, %d]" % (n, table.limit))
-    divs = [1]
-    for p, e in factorize(n, table):
-        pk = 1
-        ext = []
-        for _ in range(e):
-            pk *= p
-            ext.extend(d * pk for d in divs)
-        divs.extend(ext)
-    divs.sort()
-    return divs
 
 
 def totient_table(limit: int) -> np.ndarray:

@@ -149,11 +149,6 @@ class Coefficients:
     backend: str
     values: Union[np.ndarray, list]
 
-    def a(self, n: int):
-        if not (1 <= n <= self.limit):
-            raise IndexError("n=%d outside [1, %d]" % (n, self.limit))
-        return self.values[n]
-
     def n_a_n(self) -> Union[np.ndarray, list]:
         """n * a_n, same container type as values (index 0 unused)."""
         if self.backend == "exact":

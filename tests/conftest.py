@@ -11,8 +11,3 @@ def table_small():
 @pytest.fixture(scope="session")
 def table_100k():
     return sieve(100_000)
-
-
-@pytest.fixture(scope="session")
-def table_1m():
-    return sieve(1_000_000)

@@ -5,23 +5,40 @@ with capsys so we can check the printed values, not just exit codes.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import raflab.cli
+from raflab import claims
 from raflab.cli import main
+from raflab.sieve import load_cache
 from raflab.solver import VerificationError
+
+_TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def run(capsys, argv):
     rc = main(argv)
     cap = capsys.readouterr()
     return rc, cap.out, cap.err
+
+
+def run_python_O(argv):
+    """`python -O -m raflab.cli <argv>` in a subprocess, with src/ on the path."""
+    src = os.path.join(_TESTS, os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "raflab.cli"] + argv,
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 # ------------------------------------------------------------------ exit codes
@@ -72,12 +89,7 @@ def test_overflowing_rhs_is_usage_error_also_under_python_O(capsys):
     assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "raflab.cli"] + argv,
-        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = run_python_O(argv)
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
@@ -311,9 +323,54 @@ def test_verify_exact_suite_passes(capsys):
     rc, out, _ = run(capsys, ["verify", "--suite", "exact"])
     assert rc == 0
     lines = out.strip().splitlines()
-    assert all(l.startswith("PASS") for l in lines[:-1])
-    assert "failed=0" in lines[-1]
-    assert len(lines) == 7  # six checks + summary
+    exact = [c.name for c in claims.suite("exact")]
+    assert [l.split(":")[0] for l in lines[:-1]] == ["PASS " + name for name in exact]
+    assert lines[-1] == "suite=exact checks=%d failed=0" % len(exact)
+
+
+def test_verify_exact_suite_passes_under_python_O():
+    proc = run_python_O(["verify", "--suite", "exact"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(claims.suite("exact")) + 1
+    assert all(l.startswith("PASS ") for l in lines[:-1])
+    assert lines[-1].endswith(" failed=0")
+
+
+def test_verify_reports_false_and_raising_claims(capsys, monkeypatch):
+    def boom():
+        raise RuntimeError("boom")
+
+    # a passing stub returns a numpy bool, as numeric claims do; --json must take it
+    exact = claims.suite("exact")
+    stubs = {exact[0].name: lambda: (False, "forced"), exact[1].name: boom}
+    monkeypatch.setattr(claims, "CLAIMS", tuple(
+        dataclasses.replace(c, check=stubs.get(c.name, lambda: (np.True_, "stub"))) for c in exact
+    ))
+    rc, out, _ = run(capsys, ["verify", "--suite", "exact"])
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "FAIL %s: forced" % exact[0].name,
+        "FAIL %s: raised RuntimeError: boom" % exact[1].name,
+    ]
+    assert lines[2:-1] == ["PASS %s: stub" % c.name for c in exact[2:]]
+    assert lines[-1] == "suite=exact checks=%d failed=2" % len(exact)
+
+    rc, out, _ = run(capsys, ["verify", "--suite", "exact", "--json"])
+    doc = json.loads(out)
+    assert rc == 1 and doc["failed"] == 2
+    assert [c["ok"] for c in doc["checks"]] == [False, False] + [True] * (len(exact) - 2)
+
+
+def test_acceptance_gate_runs_each_claim_once():
+    # every test_criterion_NN_<slug> gates the claim "criterion-NN <slug>",
+    # and the gate holds one test per registry entry, in registry order
+    with open(os.path.join(_TESTS, "test_acceptance.py")) as fh:
+        gated = re.findall(r'def (test_criterion_\w+)\(\):\n    _gate\("([^"]+)"\)', fh.read())
+    assert [name for _, name in gated] == [c.name for c in claims.CLAIMS]
+    for test, name in gated:
+        assert test == "test_" + re.sub(r"[- ]", "_", name)
 
 
 # ------------------------------------------------------- one output path
@@ -357,11 +414,11 @@ def test_json_stdout_is_one_document(capsys, tmp_path, argv, header):
 
 def test_sieve_cache_written_on_miss_and_reused(capsys, tmp_path):
     cache = tmp_path / "sieve.bin"
-    rc, out, _ = run(
+    rc, out, err = run(
         capsys,
         ["count", "--what", "elias", "--n", "500", "--sieve-cache", str(cache)],
     )
-    assert rc == 0
+    assert rc == 0 and err == ""
     assert out.strip() == "formula=17"
     assert cache.exists() and cache.stat().st_size > 0
 
@@ -372,6 +429,26 @@ def test_sieve_cache_written_on_miss_and_reused(capsys, tmp_path):
         ["count", "--what", "elias", "--n", "500", "--sieve-cache", str(cache)],
     )
     assert rc2 == 0 and out2.strip() == "formula=17"
+
+    # a cache too small for the request is a silent miss, like a missing one
+    rc3, out3, err3 = run(
+        capsys,
+        ["count", "--what", "elias", "--n", "1000", "--sieve-cache", str(cache)],
+    )
+    assert rc3 == 0 and out3.strip() == "formula=19" and err3 == ""
+
+
+def test_rejected_sieve_cache_warns_and_is_rebuilt(capsys, tmp_path):
+    argv = ["count", "--what", "elias", "--n", "500"]
+    _, expected, _ = run(capsys, argv)
+    cache = tmp_path / "sieve.bin"
+    cache.write_bytes(b"not a sieve cache")
+    rc, out, err = run(capsys, argv + ["--sieve-cache", str(cache)])
+    assert rc == 0 and out == expected
+    assert len(err.splitlines()) == 1
+    assert err.startswith("warning: sieve cache %s rejected: " % cache)
+    assert err.endswith("; rebuilding\n")
+    assert load_cache(str(cache)).limit >= 500
 
 
 # ---------------------------------------------------------------------- config

@@ -10,7 +10,6 @@ from raflab.counting import (
     elias_scan,
     log2_floor_table,
     meissel_scan,
-    mu6_partial_sums,
     parse_count_what,
     ramanujan_l0_compare,
     smooth_bridge_scan,
@@ -167,12 +166,6 @@ def test_scan_range_errors(table_small):
         meissel_scan(table_small, 2000)
     with pytest.raises(ValueError):
         smooth_bridge_scan(table_small, 200)
-
-
-def test_mu6_partial_sums(table_small):
-    s = mu6_partial_sums(table_small, 166)
-    for x in (1, 10, 100, 166):
-        assert s[x] == sum(int(table_small.mu[6 * n]) for n in range(1, x + 1))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +24,6 @@ def test_ingham_hand_values():
     assert g.eval(10, 5) == 1.0
     assert g.eval(10, 3) == pytest.approx(9 / 10)
     assert g.eval(10, 4) == pytest.approx(8 / 10)
-    assert g.eval_exact(10, 3) == Fraction(9, 10)
-    assert g.eval_exact(7, 2) == Fraction(6, 7)
 
 
 def test_ingham_domain():

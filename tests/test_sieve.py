@@ -13,8 +13,6 @@ from raflab.sieve import (
     DIVISOR_PASS_K,
     MAX_SIEVE_LIMIT,
     divisor_pass,
-    divisors,
-    factorize,
     load_cache,
     save_cache,
     sieve,
@@ -70,7 +68,9 @@ def test_mu_matches_naive(table_100k, n):
 @given(st.integers(min_value=2, max_value=100_000))
 def test_mobius_sum_over_divisors(table_100k, n):
     # sum_{d|n} mu(d) = 0 for n > 1
-    assert sum(int(table_100k.mu[d]) for d in divisors(n, table_100k)) == 0
+    divs = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divs += [n // d for d in divs if d * d != n]
+    assert sum(int(table_100k.mu[d]) for d in divs) == 0
 
 
 def test_spf_is_smallest_prime_factor(table_small):
@@ -79,14 +79,6 @@ def test_spf_is_smallest_prime_factor(table_small):
         assert n % p == 0
         for q in range(2, p):
             assert n % q != 0
-
-
-def test_factorize_and_divisors(table_small):
-    assert factorize(360, table_small) == [(2, 3), (3, 2), (5, 1)]
-    assert sorted(divisors(12, table_small)) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1, table_small) == [1]
-    with pytest.raises(ValueError):
-        factorize(1001, table_small)
 
 
 def test_totient_table():

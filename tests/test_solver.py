@@ -60,7 +60,7 @@ def test_rhs_exactable():
 def test_beta_zero_collapses_to_delta_sequence():
     # R(n) = 1 for all n: a_1 = 1 and every later a_n = 0
     c = solve(Ingham(), RhsSpec("power", 0.0), 50)
-    assert c.a(1) == pytest.approx(1.0)
+    assert c.values[1] == pytest.approx(1.0)
     np.testing.assert_allclose(c.values_float()[2:], 0.0, atol=1e-12)
 
 
@@ -223,8 +223,6 @@ def test_residual_index_errors():
         residual(c, 0)
     with pytest.raises(IndexError):
         residual(c, 51)
-    with pytest.raises(IndexError):
-        c.a(51)
 
 
 # ---------------------------------------------------------------- partial sums
