@@ -15,10 +15,13 @@ covers the whole subcommand, sieve or cache load included.
 one PASS/FAIL line each; a claim that raises counts as FAIL.  `full` runs
 every claim, so it is the command-line form of tests/test_acceptance.py.
 A --sieve-cache file that load_cache rejects is reported with one
-`warning:` line on stderr, then rebuilt and overwritten.
+`warning:` line on stderr, then rebuilt and overwritten; a cache path that
+cannot be read or written gets one `warning:` line per failed load or save.
+A missing or too small cache is rebuilt silently.
 
 Exit codes: 0 ok; 1 verification failure (an asserted identity or
-tolerance was violated) or an index bracket failure; 2 usage or I/O error.
+tolerance was violated) or an index bracket failure; 2 usage or I/O error,
+a singular kernel, or a kernel/RHS the exact backend cannot take.
 """
 
 from __future__ import annotations
@@ -62,7 +65,15 @@ from .mellin import (
     phi_f_zeros,
 )
 from .sieve import MobiusTable, load_cache, save_cache, sieve
-from .solver import RhsSpec, VerificationError, parse_rhs, partial_sums, solve
+from .solver import (
+    BackendMismatchError,
+    RhsSpec,
+    SingularKernelError,
+    VerificationError,
+    parse_rhs,
+    partial_sums,
+    solve,
+)
 
 # ---------------------------------------------------------------------------
 # small parsing/formatting helpers
@@ -123,23 +134,25 @@ def _f(x: float) -> str:
 
 
 def _get_table(limit: int, cache: Optional[str]) -> MobiusTable:
-    if cache:
-        try:
-            t = load_cache(cache)
-            if t.limit >= limit:
-                return t
-        except OSError:
-            pass
-        except ValueError as exc:
-            print("warning: sieve cache %s rejected: %s; rebuilding" % (cache, exc),
-                  file=sys.stderr)
-        t = sieve(limit)
-        try:
-            save_cache(t, cache)
-        except OSError:
-            pass
-        return t
-    return sieve(limit)
+    if not cache:
+        return sieve(limit)
+    try:
+        t = load_cache(cache)
+        if t.limit >= limit:
+            return t
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        print("warning: sieve cache %s unusable: %s" % (cache, exc), file=sys.stderr)
+    except ValueError as exc:
+        print("warning: sieve cache %s rejected: %s; rebuilding" % (cache, exc),
+              file=sys.stderr)
+    t = sieve(limit)
+    try:
+        save_cache(t, cache)
+    except OSError as exc:
+        print("warning: sieve cache %s unusable: %s" % (cache, exc), file=sys.stderr)
+    return t
 
 
 def _tol_from(args: argparse.Namespace) -> Tolerances:
@@ -572,8 +585,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (UsageError, KernelDomainError, UnsupportedKernelError,
-            PoleError, RegionError, ValueError) as exc:
+    except (UsageError, KernelDomainError, UnsupportedKernelError, PoleError, RegionError,
+            SingularKernelError, BackendMismatchError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

@@ -110,6 +110,12 @@ class Kernel:
         """g(t) for FGV kernels, 0 < t <= 1."""
         raise UnsupportedKernelError("%s has no one-variable profile" % self.name)
 
+    def dirichlet_weights(self, limit: int):
+        """u_0..u_L (u_0 unused, u_j = 0 for j > L) with
+        n*G(n,k)/k = sum_{j<=n/k} u_j floor(n/(j*k)) for all k <= n <= limit,
+        or None when the kernel has no such divisor structure."""
+        return None
+
     def _check(self, n: int, k: int) -> None:
         if k < 1 or k > n:
             raise KernelDomainError("need 1 <= k <= n, got n=%d k=%d" % (n, k))
@@ -135,12 +141,17 @@ class Ingham(Kernel):
         ks = np.asarray(ks, dtype=np.int64)
         return (ks * (n // ks)) / float(n)
 
+    def dirichlet_weights(self, limit: int) -> np.ndarray:
+        return np.array([0.0, 1.0])  # u = delta: n*G(n,k)/k = floor(n/k)
+
     def profile(self, t: float) -> float:
         if t == 1.0:
             return 1.0
         if t < 1e-300:  # floor(1/t) overflows float; value is within t of 1
             return 1.0
-        return t * math.floor(1.0 / t)
+        # the same snap as GeneralizedIngham.profile: t = 1/m computed one
+        # ulp high must still floor 1/t to m
+        return t * math.floor(1.0 / t + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -321,6 +332,11 @@ class GeneralizedIngham(Kernel):
                 break
             total[:hi] += uj * (n // (j * ks[:hi]))
         return total * ks / float(n)
+
+    def dirichlet_weights(self, limit: int) -> np.ndarray:
+        u = np.zeros(limit + 1)
+        u[1:] = np.resize(self.weights, limit)  # u_j = weights[(j-1) % period]
+        return u
 
     def profile(self, t: float) -> float:
         w = self.weights

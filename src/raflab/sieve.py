@@ -4,8 +4,9 @@ Provides:
 - sieve(limit)         -> MobiusTable (mu, Mertens prefix sums, spf)
 - totient_table(limit) -> Euler phi for all n <= limit
 - save_cache / load_cache -> binary mu cache ("RAFSIEVE1" format)
-- divisor_pass(target, weights, sign) -> target[i*d] += sign*weights[d] for
-  d ascending: sum_{k<=n} w_k floor(n/k) forwards, or its in-place inverse
+- divisor_pass(target, weights, sign, mult) -> target[i*d] += sign*mult[i]*weights[d]
+  for d ascending: sum_{k<=n} w_k floor(n/k) forwards, or its in-place
+  inverse (with mult, the inverse of b -> v * b)
 
 The table is immutable after construction and safe to share read-only
 across workers; sieving itself is single-threaded.
@@ -208,21 +209,28 @@ def sieve_spf_only(limit: int) -> np.ndarray:
     return spf
 
 
-def divisor_pass(target: np.ndarray, weights: np.ndarray, sign: int) -> None:
-    """target[i*d] += sign*weights[d] for all d >= 1, i >= 2 with i*d <= N.
+def divisor_pass(target: np.ndarray, weights: np.ndarray, sign: int, mult=None) -> None:
+    """target[i*d] += sign*mult[i]*weights[d] for all d >= 1, i >= 2 with i*d <= N.
 
-    N = len(target) - 1 and sign is +1 or -1.  d ascends, so weights may be
-    target itself: divisor_pass(b, b, -1) turns s(m) into
-    b_m = s(m) - sum_{d|m, d<m} b_d.  Works on float, int and object
-    (Fraction) arrays.
+    N = len(target) - 1 and sign is +1 or -1.  mult=None means mult[i] = 1
+    for every i; a shorter mult reads as zero past its end.  d ascends, so
+    weights may be target itself: divisor_pass(b, b, -1) turns s(m) into
+    b_m = s(m) - sum_{d|m, d<m} b_d, and divisor_pass(b, b, -1, v) turns
+    c(m) into b_m = c(m) - sum_{d|m, d<m} v_{m/d} b_d.  Works on float, int
+    and object (Fraction) arrays.
     """
     update = operator.iadd if sign > 0 else operator.isub  # in place on a view
     n = len(target) - 1
+    top = n if mult is None else len(mult) - 1  # the largest i with a mult[i]
     # d with at least K multiples: one strided slice per d.
     for d in range(1, n // DIVISOR_PASS_K + 1):
         w = weights[d]
         if w:
-            update(target[2 * d :: d], w)
+            if mult is None:
+                update(target[2 * d :: d], w)
+            else:
+                m = mult[2 : n // d + 1]
+                update(target[2 * d : (len(m) + 1) * d + 1 : d], m * w)
     # Larger d, in blocks of equal q = N//d, i.e. d in (N/(q+1), N/q].  Then
     # 2*d_lo > d_hi, so no d of a block divides another: the block reads only
     # finished weights, and its i-th multiples form one strided slice.  Nor
@@ -235,6 +243,9 @@ def divisor_pass(target: np.ndarray, weights: np.ndarray, sign: int) -> None:
         q = n // d_lo
         d_hi = n // q
         w = weights[d_lo : d_hi + 1]
-        for i in range(2, q + 1):
-            update(target[i * d_lo : i * d_hi + 1 : i], w)
+        for i in range(2, min(q, top) + 1):
+            if mult is None:
+                update(target[i * d_lo : i * d_hi + 1 : i], w)
+            elif mult[i]:
+                update(target[i * d_lo : i * d_hi + 1 : i], mult[i] * w)
         d_lo = d_hi + 1

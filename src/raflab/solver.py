@@ -4,21 +4,27 @@ Right-hand sides: R(n) = n^-beta ("power"), the delta sequence (1,0,0,...)
 — the beta = infinity limit — and n^-beta * L0(n) for a slowly varying
 integer-valued L0 ("l0pow", default L0 = 3-smooth counting function).
 
-Backends:
-  * float  — double precision; O(N log N) fast path for the x*floor(1/x)
-             kernel, generic O(N^2) forward substitution otherwise.
-  * exact  — Fraction arithmetic; x*floor(1/x) kernel only, with an RHS
-             whose values are rational (delta, integer beta).
+solve() picks its path from the kernel's declared divisor structure
+(Kernel.dirichlet_weights), never from the kernel's class:
+  * divisor — O(N log N), for kernels with Dirichlet weights u (ingham,
+              genin); float, or exact Fraction arithmetic when u = delta
+              and every R(n) is rational (delta, integer beta >= 0).
+  * generic — O(N^2) forward substitution, float only, for every other
+              kernel; refused above GENERIC_CAP.
 
-Fast-path algebra (convention-free, used by both backends): multiply the
-defining relation by n, write b_k = k*a_k, and note floor(n/k) counts
-multiples of k up to n, so
+Divisor-path algebra (convention-free, used by both backends): when
+n*G(n,k)/k = sum_{j<=n/k} u_j floor(n/(j*k)), multiply the defining
+relation by n, write b_k = k*a_k, and note floor(n/(j*k)) counts the
+multiples of j*k up to n, so
 
-    sum_{k<=n} b_k floor(n/k) = sum_{m<=n} sum_{d|m} b_d = n R(n).
+    sum_{k<=n} b_k sum_j u_j floor(n/(j*k)) = sum_{m<=n} (1 * u * b)(m) = n R(n),
 
-The inner divisor sums are therefore s(m) := m R(m) - (m-1) R(m-1), and the
-triangular system collapses to b_m = s(m) - sum_{d|m, d<m} b_d, solved in
-O(N log N) in place by sieve.divisor_pass(b, b, -1).
+with * the Dirichlet convolution.  Hence (1 * u * b)(m) = s(m) :=
+m R(m) - (m-1) R(m-1).  One in-place pass, sieve.divisor_pass(s, s, -1),
+strips the 1 and leaves c = mu * s = u * b; a second pass with
+mult = u/u_1 then solves u_1 b_m = c(m) - sum_{d|m, d<m} u_{m/d} b_d.
+The x*floor(1/x) kernel is u = delta (u_1 = 1, no other weight), so it
+needs only the first pass.
 """
 
 from __future__ import annotations
@@ -30,10 +36,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .kernels import Ingham, Kernel
+from .kernels import Kernel
 from .sieve import MobiusTable, divisor_pass
 
-DEFAULT_GENERIC_CAP = 20_000
+# Largest N the generic O(N^2) forward substitution accepts.
+GENERIC_CAP = 20_000
 
 
 class SingularKernelError(ZeroDivisionError):
@@ -192,45 +199,51 @@ def solve(
     rhs: RhsSpec,
     limit: int,
     backend: str = "float",
-    generic_cap: int = DEFAULT_GENERIC_CAP,
     force_generic: bool = False,
 ) -> Coefficients:
     """Solve the triangular system for a_1..a_limit.
 
-    The x*floor(1/x) kernel takes the O(N log N) divisor fast path unless
-    force_generic is set; everything else runs generic forward substitution
-    a_n = (R(n) - sum_{k<n} a_k G(n,k)) / G(n,n), which is O(N^2) and
-    refused above generic_cap.
+    A kernel with Dirichlet weights u (kernel.dirichlet_weights) takes the
+    O(N log N) divisor path, (1 * u * b) = s with b_k = k*a_k, unless
+    force_generic is set; every other kernel runs the generic forward
+    substitution a_n = (R(n) - sum_{k<n} a_k G(n,k)) / G(n,n), which is
+    O(N^2), float only, and refused above GENERIC_CAP.  The exact backend
+    needs u = delta (the x*floor(1/x) kernel).
 
     Raises:
-        SingularKernelError: G(n,n) = 0 for some n.
-        BackendMismatchError: exact backend with a non-ingham kernel or an
-            RHS whose values are not rational (delta / integer beta >= 0
-            are rational; fractional beta is not).
-        ValueError: a float R(n) that is not finite (e.g. n^-beta overflows).
+        SingularKernelError: G(n,n) = 0 for some n (u_1 = 0 on the divisor
+            path).
+        BackendMismatchError: exact backend with a kernel whose u is not
+            delta, or an RHS whose values are not rational (delta / integer
+            beta >= 0 are rational; fractional beta is not).
+        ValueError: an unknown backend, a generic solve above GENERIC_CAP,
+            or a float R(n) that is not finite (e.g. n^-beta overflows).
         VerificationError: the post-solve a_1 or residual check fails.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    is_ingham = isinstance(kernel, Ingham)
+    u = kernel.dirichlet_weights(limit)
 
     if backend == "exact":
-        if not is_ingham:
+        if u is None or u[1] != 1 or np.any(u[2:]):
             raise BackendMismatchError(
-                "exact backend supports only the ingham kernel, got %s" % kernel.name
+                "exact backend supports only the ingham kernel, got %s" % kernel.spec
             )
         if not rhs.exactable:
             raise BackendMismatchError(
                 "exact backend needs rational RHS values (delta or integer beta >= 0), "
                 "got %s" % rhs.label
             )
-        values = _solve_ingham_exact(rhs, limit)
+        b = _exact_s(rhs, limit)
+        _divisor_solve(b, u)  # b_m = m a_m
+        values = [Fraction(0)] * (limit + 1)
+        for m in range(1, limit + 1):
+            values[m] = Fraction(b[m], m) if isinstance(b[m], int) else b[m] / m
     elif backend == "float":
-        generic = force_generic or not is_ingham
-        if generic and limit > generic_cap:
+        generic = force_generic or u is None
+        if generic and limit > GENERIC_CAP:
             raise ValueError(
-                "generic O(N^2) solve capped at N=%d (asked %d); raise generic_cap "
-                "to override" % (generic_cap, limit)
+                "generic O(N^2) solve capped at N=%d (asked %d)" % (GENERIC_CAP, limit)
             )
         r = rhs.values_float(limit, _rhs_l0(rhs, limit))
         bad = np.flatnonzero(~np.isfinite(r[1:]))
@@ -239,7 +252,7 @@ def solve(
         if generic:
             values = _solve_generic_float(kernel, r, limit)
         else:
-            values = _solve_ingham_float(r, limit)
+            values = _divisor_solve_float(r, u)
     else:
         raise ValueError("backend must be 'exact' or 'float', got %r" % (backend,))
 
@@ -262,21 +275,32 @@ def _rhs_l0(rhs: RhsSpec, limit: int) -> Optional[np.ndarray]:
     return l0_three_smooth(limit)
 
 
-def _solve_ingham_float(r: np.ndarray, limit: int) -> np.ndarray:
-    n = np.arange(limit + 1, dtype=np.float64)
-    s = np.empty(limit + 1, dtype=np.float64)
-    s[0] = 0.0
-    s[1:] = n[1:] * r[1:] - n[:-1] * r[:-1]
-    divisor_pass(s, s, -1)  # s becomes b_m = s(m) - sum_{d|m, d<m} b_d
-    a = np.zeros(limit + 1, dtype=np.float64)
-    a[1:] = s[1:] / n[1:]
+def _divisor_solve(s: np.ndarray, u: np.ndarray) -> None:
+    """Turn s in place into b with (1 * u * b)(m) = s(m) for m = 1..N."""
+    if not u[1]:
+        raise SingularKernelError(1)
+    divisor_pass(s, s, -1)  # s becomes c = mu * s = u * b
+    if u[1] != 1:
+        s /= u[1]
+    if np.any(u[2:]):
+        # b_m = c(m)/u_1 - sum_{d|m, d<m} (u_{m/d}/u_1) b_d
+        divisor_pass(s, s, -1, u / u[1])
+
+
+def _divisor_solve_float(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """a_0..a_N in float64 from R(0..N), s(m) = m R(m) - (m-1) R(m-1) vectorised."""
+    n = np.arange(len(r), dtype=np.float64)
+    a = np.zeros(len(r), dtype=np.float64)
+    a[1:] = n[1:] * r[1:] - n[:-1] * r[:-1]
+    _divisor_solve(a, u)  # b_m = m a_m
+    a[1:] /= n[1:]
     return a
 
 
-def _solve_ingham_exact(rhs: RhsSpec, limit: int) -> list:
+def _exact_s(rhs: RhsSpec, limit: int) -> np.ndarray:
+    """s(m) = m R(m) - (m-1) R(m-1) as an object array: ints for delta and
+    beta in {0, 1}, Fractions otherwise.  Staying in ints is much faster."""
     l0 = _rhs_l0(rhs, limit)
-    # s(m) = m R(m) - (m-1) R(m-1); integers for delta / beta in {0,1},
-    # Fractions otherwise.  Stay in ints when possible — much faster.
     s: list = [0] * (limit + 1)
     if rhs.kind == "delta":
         s[1] = 1
@@ -298,12 +322,7 @@ def _solve_ingham_exact(rhs: RhsSpec, limit: int) -> list:
                 hi *= int(l0[m])
                 lo *= int(l0[m - 1]) if m >= 2 else 0
             s[m] = hi - lo
-    b = np.array(s, dtype=object)
-    divisor_pass(b, b, -1)
-    values: list = [Fraction(0)] * (limit + 1)
-    for m in range(1, limit + 1):
-        values[m] = Fraction(b[m], m) if isinstance(b[m], int) else b[m] / m
-    return values
+    return np.array(s, dtype=object)
 
 
 def _solve_generic_float(kernel: Kernel, r: np.ndarray, limit: int) -> np.ndarray:

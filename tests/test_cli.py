@@ -94,6 +94,17 @@ def test_overflowing_rhs_is_usage_error_also_under_python_O(capsys):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--kernel", "affine:0.5", "--backend", "exact"],  # BackendMismatchError
+    ["solve", "--rhs", "power:0.5", "--backend", "exact"],      # BackendMismatchError
+    ["solve", "--kernel", "genin:0", "--n", "10"],              # SingularKernelError
+])
+def test_unsolvable_solver_input_is_usage_error(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_verification_failure_exits_one(capsys, monkeypatch):
     def failing_solve(*args, **kwargs):
         raise VerificationError("residual nan at n=5 exceeds 5e-09")
@@ -449,6 +460,18 @@ def test_rejected_sieve_cache_warns_and_is_rebuilt(capsys, tmp_path):
     assert err.startswith("warning: sieve cache %s rejected: " % cache)
     assert err.endswith("; rebuilding\n")
     assert load_cache(str(cache)).limit >= 500
+
+
+def test_unusable_sieve_cache_warns_on_load_and_save(capsys, tmp_path):
+    # a directory can be neither read nor replaced as a cache file
+    argv = ["count", "--what", "elias", "--n", "500"]
+    _, expected, _ = run(capsys, argv)
+    rc, out, err = run(capsys, argv + ["--sieve-cache", str(tmp_path)])
+    assert rc == 0 and out == expected
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("warning: sieve cache %s unusable: " % tmp_path) for line in lines)
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------- config

@@ -107,6 +107,32 @@ def test_genin_reduces_to_ingham_with_single_weight():
         assert g.eval(n, k) == pytest.approx(total)
 
 
+def test_scaled_pow_ingham_is_one_at_square_ratios():
+    # (k/n)^(1/2) = 1/m when n/k = m^2, and g(1/m) = 1; t = 1/m comes out
+    # of exp/log one ulp high at many such points, which must not drop the floor
+    k = Scaled(Ingham(), FSpec("power", r=0.5))
+    for n in range(1, 401):
+        for m in range(1, int(n**0.5) + 1):
+            if n % (m * m) == 0:
+                assert abs(k.eval(n, n // (m * m)) - 1.0) <= 1e-12, (n, m)
+
+
+def test_dirichlet_weights_reproduce_the_kernel():
+    # n*G(n,k)/k = sum_{j<=n/k} u_j floor(n/(j*k)), u_j = 0 past the array
+    assert Ingham().dirichlet_weights(10).tolist() == [0.0, 1.0]
+    g = GeneralizedIngham((1.0, -0.5, 2.0))
+    assert g.dirichlet_weights(7).tolist() == [0.0, 1.0, -0.5, 2.0, 1.0, -0.5, 2.0, 1.0]
+    for kern in (Ingham(), g):
+        u = kern.dirichlet_weights(60)
+        for n in range(1, 61):
+            for k in range(1, n + 1):
+                total = sum(u[j] * (n // (j * k)) for j in range(1, min(n // k, len(u) - 1) + 1))
+                assert n * kern.eval(n, k) / k == pytest.approx(total, rel=1e-12, abs=1e-12)
+    for kern in (Affine(0.5), LogKernel(0.5), Disc(2.0), RationalRaf(1.0, 2.0),
+                 Scaled(Ingham(), FSpec("power", r=0.5))):
+        assert kern.dirichlet_weights(10) is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=300))
 def test_eval_row_matches_scalar(n):

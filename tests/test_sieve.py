@@ -144,16 +144,18 @@ def test_failed_save_keeps_old_cache(tmp_path, table_small):
 # ------------------------------------------------------------ divisor_pass
 
 
-def reference_divisor_pass(target, weights, sign):
+def reference_divisor_pass(target, weights, sign, mult=None):
     """The per-d loop divisor_pass replaces: every d, one strided slice."""
     n = len(target) - 1
     for d in range(1, n // 2 + 1):
         w = weights[d]
-        if w:
+        top = n // d if mult is None else min(n // d, len(mult) - 1)
+        if w and top >= 2:
+            step = w if mult is None else mult[2 : top + 1] * w
             if sign > 0:
-                target[2 * d :: d] += w
+                target[2 * d : top * d + 1 : d] += step
             else:
-                target[2 * d :: d] -= w
+                target[2 * d : top * d + 1 : d] -= step
 
 
 K = DIVISOR_PASS_K
@@ -175,6 +177,17 @@ def _weights(kind, n, rng):
     return np.array([Fraction(int(a), int(b)) for a, b in zip(num, den)], dtype=object)
 
 
+def _mult(kind, length, rng):
+    """Per-multiple factors of magnitude <= 1, so in-place passes stay small."""
+    v = rng.integers(-1, 2, length)
+    if kind == "float":
+        return v * rng.random(length)
+    if kind == "int":
+        return v
+    return np.array([Fraction(int(a), int(b)) for a, b in zip(v, rng.integers(1, 4, length))],
+                    dtype=object)
+
+
 @pytest.mark.parametrize("kind", ["float", "int", "fraction"])
 @settings(max_examples=40, deadline=None)
 @given(n=PASS_SIZES, seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -193,4 +206,11 @@ def test_divisor_pass_matches_per_d_loop(kind, n, seed):
     got, want = s.copy(), s.copy()
     divisor_pass(got, w, 1)
     reference_divisor_pass(want, w, 1)
+    assert np.array_equal(got, want)
+    # in place with a per-multiple factor of any length: the genin inversion
+    # b_m = c(m) - sum_{d|m, d<m} v_{m/d} b_d
+    v = _mult(kind, int(rng.integers(0, n + 2)), rng)
+    got, want = s.copy(), s.copy()
+    divisor_pass(got, got, -1, v)
+    reference_divisor_pass(want, want, -1, v)
     assert np.array_equal(got, want)

@@ -94,18 +94,30 @@ def test_delta_exact_small():
 # ---------------------------------------------------------------- backends agree
 
 
+# genin weights: 1-4 entries, u_1 != 0 (u_1 = 0 is singular)
+GENIN = st.builds(
+    lambda u1, rest: GeneralizedIngham((u1,) + tuple(rest)),
+    st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+    st.lists(st.floats(-2.0, 2.0) | st.just(0.0), max_size=3),
+)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=2, max_value=300),
     st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0]),
+    st.just(Ingham()) | GENIN,
 )
-def test_fast_path_matches_generic(limit, beta):
+def test_fast_path_matches_generic(limit, beta, kernel):
+    if isinstance(kernel, GeneralizedIngham):
+        limit = min(limit, 200)  # generic genin rows cost O(n) Python steps
     rhs = RhsSpec("power", beta)
-    fast = solve(Ingham(), rhs, limit)
-    slow = solve(Ingham(), rhs, limit, force_generic=True)
+    fast = solve(kernel, rhs, limit)
+    slow = solve(kernel, rhs, limit, force_generic=True)
     np.testing.assert_allclose(
         fast.values_float()[1:], slow.values_float()[1:], rtol=1e-8, atol=1e-10
     )
+    assert verify_residuals(fast) <= 1.0
 
 
 def test_exact_matches_float():
@@ -122,20 +134,27 @@ def test_backend_mismatch():
         solve(Affine(0.5), RhsSpec("delta"), 100, backend="exact")
     with pytest.raises(BackendMismatchError):
         solve(Ingham(), RhsSpec("power", 0.5), 100, backend="exact")
+    # genin takes the float divisor path, but its u is not delta
+    with pytest.raises(BackendMismatchError):
+        solve(GeneralizedIngham((1.0, -1.0)), RhsSpec("delta"), 100, backend="exact")
     with pytest.raises(ValueError):
         solve(Ingham(), RhsSpec("delta"), 100, backend="sympy")
 
 
 def test_generic_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="capped at N=20000"):
         solve(Affine(0.5), RhsSpec("power", 1.0), 25_000)
-    # raising the cap lifts the refusal (run tiny to keep it fast)
-    solve(Affine(0.5), RhsSpec("power", 1.0), 50, generic_cap=50)
+    # genin has divisor structure, so the cap does not apply to it
+    c = solve(GeneralizedIngham((1.0, -1.0)), RhsSpec("power", 1.0), 25_000)
+    assert c.limit == 25_000 and c.values[1] == 1.0
 
 
 def test_singular_kernel():
-    with pytest.raises(SingularKernelError):
-        solve(GeneralizedIngham((0.0,)), RhsSpec("power", 1.0), 10)
+    for weights in ((0.0,), (0.0, 1.0)):
+        for force_generic in (False, True):
+            with pytest.raises(SingularKernelError):
+                solve(GeneralizedIngham(weights), RhsSpec("power", 1.0), 10,
+                      force_generic=force_generic)
 
 
 # ---------------------------------------------------------------- closed forms
