@@ -271,6 +271,12 @@ def _index_estimation() -> Tuple[bool, str]:
         est = estimate_index(parse_kernel(spec), grid, n, tol)
         ok = ok and lo <= est.alpha_hat <= hi
         parts.append("%s %.3f in [%g,%g]" % (spec, est.alpha_hat, lo, hi))
+    # companion: the Ingham estimate (index 1/2) must move down as N grows;
+    # the last run above is ingham at 1e6
+    alpha_1m = est.alpha_hat
+    alpha_4m = estimate_index(Ingham(), grid9, 4_000_000, DEFAULT_TOL).alpha_hat
+    ok = ok and alpha_4m < alpha_1m
+    parts.append("ingham 4e6 %.4f < 1e6 %.4f" % (alpha_4m, alpha_1m))
     dt = time.monotonic() - t0
     return (
         ok and dt <= 600.0,

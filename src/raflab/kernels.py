@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+
+from .sieve import divisor_pass
 
 
 class KernelDomainError(ValueError):
@@ -110,10 +111,20 @@ class Kernel:
         """g(t) for FGV kernels, 0 < t <= 1."""
         raise UnsupportedKernelError("%s has no one-variable profile" % self.name)
 
+    def profile_vec(self, t: np.ndarray) -> np.ndarray:
+        """g(t) over a float array (scalar profile calls unless overridden)."""
+        return np.array([self.profile(float(x)) for x in t])
+
     def dirichlet_weights(self, limit: int):
         """u_0..u_L (u_0 unused, u_j = 0 for j > L) with
         n*G(n,k)/k = sum_{j<=n/k} u_j floor(n/(j*k)) for all k <= n <= limit,
         or None when the kernel has no such divisor structure."""
+        return None
+
+    def separable_factors(self, limit: int):
+        """(P, Q), each of shape (2, limit+1), with
+        G(n,k) = P[0,n]*Q[0,k] + P[1,n]*Q[1,k] for all k <= n <= limit,
+        or None when the kernel is not rank-2 separable."""
         return None
 
     def _check(self, n: int, k: int) -> None:
@@ -153,6 +164,13 @@ class Ingham(Kernel):
         # ulp high must still floor 1/t to m
         return t * math.floor(1.0 / t + 1e-12)
 
+    def profile_vec(self, t: np.ndarray) -> np.ndarray:
+        out = np.ones_like(t)
+        pos = t > 1e-300
+        tp = t[pos]
+        out[pos] = tp * np.floor(1.0 / tp + 1e-12)
+        return out
+
 
 @dataclass(frozen=True)
 class Affine(Kernel):
@@ -175,6 +193,15 @@ class Affine(Kernel):
 
     def profile(self, t: float) -> float:
         return (1.0 - self.lam) * t + self.lam
+
+    def profile_vec(self, t: np.ndarray) -> np.ndarray:
+        return (1.0 - self.lam) * t + self.lam
+
+    def separable_factors(self, limit: int):
+        # G(n,k) = lam*1 + ((1-lam)/n)*k; index 0 is unused
+        n = np.arange(limit + 1, dtype=np.float64)
+        p = np.stack([np.full(limit + 1, self.lam), (1.0 - self.lam) / np.maximum(n, 1.0)])
+        return p, np.stack([np.ones(limit + 1), n])
 
     @property
     def spec(self) -> str:
@@ -202,6 +229,15 @@ class LogKernel(Kernel):
 
     def profile(self, t: float) -> float:
         return 1.0 - self.lam * math.log(t)
+
+    def profile_vec(self, t: np.ndarray) -> np.ndarray:
+        return 1.0 - self.lam * np.log(t)
+
+    def separable_factors(self, limit: int):
+        # G(n,k) = (1 + lam*ln n)*1 + (-lam)*ln k; index 0 is unused
+        ln = np.log(np.maximum(np.arange(limit + 1, dtype=np.float64), 1.0))
+        p = np.stack([1.0 + self.lam * ln, np.full(limit + 1, -self.lam)])
+        return p, np.stack([np.ones(limit + 1), ln])
 
     @property
     def spec(self) -> str:
@@ -249,6 +285,23 @@ class Disc(Kernel):
 
     def profile(self, t: float) -> float:
         return t * self.lam ** self._steps(t)
+
+    def dirichlet_weights(self, limit: int):
+        # Integer lam: n*G(n,k)/k = lam^floor(log_lam floor(n/k)), which is
+        # sum_{m<=n/k} w(m) for w = delta_1 + sum_{i>=1} (lam^i - lam^(i-1))
+        # delta_{lam^i}.  So 1 * u = w, and u = mu * w.  The powers are
+        # exact integers; no float log decides a step.
+        if self.unproven_index:
+            return None
+        lam = int(self.lam)
+        u = np.zeros(limit + 1)
+        u[1] = 1.0
+        p = lam
+        while p <= limit:
+            u[p] = p - p // lam
+            p *= lam
+        divisor_pass(u, u, -1)  # w becomes mu * w
+        return u
 
     @property
     def spec(self) -> str:
@@ -313,25 +366,18 @@ class GeneralizedIngham(Kernel):
         return total * k / n
 
     def eval_row(self, n: int, ks: np.ndarray) -> np.ndarray:
+        # G(n,k) = (k/n) W(floor(n/k)), W(q) = sum_{j<=q} u_j floor(q/j),
+        # one vectorised sum per distinct q (about 2*sqrt(n) of them); kept
+        # apart from the solver's divisor_pass so a residual row stays an
+        # independent check of it
         ks = np.asarray(ks, dtype=np.int64)
         if len(ks) == 0:
             return np.zeros(0, dtype=np.float64)
-        if len(ks) > 1 and not np.all(np.diff(ks) > 0):
-            return super().eval_row(n, ks)  # rare: unsorted query
-        w = self.weights
-        period = len(w)
-        total = np.zeros(len(ks), dtype=np.float64)
-        jmax = int(n // ks[0])
-        for j in range(1, jmax + 1):
-            uj = w[(j - 1) % period]
-            if uj == 0.0:
-                continue
-            # ks ascending: k <= n//j is a prefix
-            hi = int(np.searchsorted(ks, n // j, side="right"))
-            if hi == 0:
-                break
-            total[:hi] += uj * (n // (j * ks[:hi]))
-        return total * ks / float(n)
+        qs, where = np.unique(n // ks, return_inverse=True)
+        u = np.resize(self.weights, int(qs[-1]))  # u_j = weights[(j-1) % period]
+        j = np.arange(1, len(u) + 1, dtype=np.int64)
+        w = np.array([np.dot(u[:q], q // j[:q]) for q in qs.tolist()])
+        return w[where] * ks / float(n)
 
     def dirichlet_weights(self, limit: int) -> np.ndarray:
         u = np.zeros(limit + 1)
@@ -373,13 +419,27 @@ class Scaled(Kernel):
         if self.f.kind == "identity":
             return self.base.eval(n, k)
         if self.f.kind == "exp_plus_one" and isinstance(self.base, Ingham):
-            # exact: t = (q^k+1)/(q^n+1), floor(1/t) by integer division
+            # exact: t = (q^k+1)/(q^n+1), floor(1/t) by integer division;
+            # int true division rounds the exact ratio correctly
             fk = self.f.value(k)
             fn = self.f.value(n)
             m = fn // fk
-            return float(Fraction(m * fk, fn))
+            return m * fk / fn
         lt = self.f.log_value(k) - self.f.log_value(n)
         return self.base.profile(math.exp(lt))
+
+    def eval_row(self, n: int, ks: np.ndarray) -> np.ndarray:
+        f = self.f
+        if f.kind == "identity":
+            return self.base.eval_row(n, ks)
+        ks = np.asarray(ks, dtype=np.int64)
+        if f.kind == "power":
+            lt = f.r * np.log(ks.astype(np.float64)) - f.r * math.log(n)
+            return self.base.profile_vec(np.exp(lt))
+        if isinstance(self.base, Ingham):
+            fn = f.value(n)
+            return np.array([(fn // fk) * fk / fn for fk in map(f.value, ks.tolist())])
+        return super().eval_row(n, ks)
 
     def profile(self, t: float) -> float:
         # the profile of the *scaled* kernel is g composed with the f-ratio

@@ -306,21 +306,6 @@ def limit_transform(kernel: Kernel, z: complex, n: int) -> TransformResult:
     )
 
 
-def _profile_vec(kernel: Kernel, t: np.ndarray) -> np.ndarray:
-    """Vectorized profile g(t) for the FGV kernels (scalar fallback otherwise)."""
-    if isinstance(kernel, Ingham):
-        out = np.ones_like(t)
-        pos = t > 1e-300
-        tp = t[pos]
-        out[pos] = tp * np.floor(1.0 / tp + 1e-12)
-        return out
-    if isinstance(kernel, Affine):
-        return (1.0 - kernel.lam) * t + kernel.lam
-    if isinstance(kernel, LogKernel):
-        return 1.0 - kernel.lam * np.log(t)
-    return np.array([kernel.profile(float(x)) for x in t])
-
-
 def limit_transform_wrt_f(kernel: Kernel, f: FSpec, z: complex, n: int) -> TransformResult:
     """f-relative transform at truncation n (and 2n):
 
@@ -361,7 +346,7 @@ def _wrt_f_sum(kernel: Kernel, f: FSpec, z: complex, n: int) -> complex:
         lo = np.empty_like(up)
         lo[0] = 0.0  # f(0) = 0 and Re z < 0 kill the k=1 lower term
         lo[1:] = up[:-1]
-        g = _profile_vec(kernel, np.exp(logf - logfn))
+        g = kernel.profile_vec(np.exp(logf - logfn))
         return complex(np.sum((up - lo) * g))
 
     # f(x) = q^x + 1: exact integer values, geometric decay away from k=n

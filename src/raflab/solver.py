@@ -4,13 +4,17 @@ Right-hand sides: R(n) = n^-beta ("power"), the delta sequence (1,0,0,...)
 — the beta = infinity limit — and n^-beta * L0(n) for a slowly varying
 integer-valued L0 ("l0pow", default L0 = 3-smooth counting function).
 
-solve() picks its path from the kernel's declared divisor structure
-(Kernel.dirichlet_weights), never from the kernel's class:
-  * divisor — O(N log N), for kernels with Dirichlet weights u (ingham,
-              genin); float, or exact Fraction arithmetic when u = delta
-              and every R(n) is rational (delta, integer beta >= 0).
-  * generic — O(N^2) forward substitution, float only, for every other
-              kernel; refused above GENERIC_CAP.
+solve() picks its path from what the kernel declares, never from the
+kernel's class, in this order:
+  * divisor   — O(N log N), for kernels with Dirichlet weights u
+                (Kernel.dirichlet_weights: ingham, genin, disc with integer
+                lam); float, or exact Fraction arithmetic when u = delta
+                and every R(n) is rational (delta, integer beta >= 0).
+  * separable — O(N), float only, for rank-2 separable kernels
+                (Kernel.separable_factors: affine, log).
+  * generic   — O(N^2) forward substitution, float only, for every other
+                kernel (ratraf, scaled, disc with non-integer lam); refused
+                above GENERIC_CAP.
 
 Divisor-path algebra (convention-free, used by both backends): when
 n*G(n,k)/k = sum_{j<=n/k} u_j floor(n/(j*k)), multiply the defining
@@ -24,7 +28,18 @@ m R(m) - (m-1) R(m-1).  One in-place pass, sieve.divisor_pass(s, s, -1),
 strips the 1 and leaves c = mu * s = u * b; a second pass with
 mult = u/u_1 then solves u_1 b_m = c(m) - sum_{d|m, d<m} u_{m/d} b_d.
 The x*floor(1/x) kernel is u = delta (u_1 = 1, no other weight), so it
-needs only the first pass.
+needs only the first pass.  The geometric staircase with integer lam has
+n*G(n,k)/k = lam^floor(log_lam floor(n/k)) = sum_{m<=n/k} w(m) with
+w = delta_1 + sum_{i>=1} (lam^i - lam^(i-1)) delta_{lam^i}, so 1 * u = w
+and u = mu * w.
+
+Separable-path recurrence: when G(n,k) = sum_i P[i,n] Q[i,k] (i = 0, 1),
+the row sum over k < n is sum_i P[i,n] S_i(n) with the running sums
+S_i(n) = sum_{k<n} a_k Q[i,k], so
+
+    a_n = (R(n) - sum_i P[i,n] S_i(n)) / sum_i P[i,n] Q[i,n],
+
+and each step updates S_i by a_n Q[i,n].
 """
 
 from __future__ import annotations
@@ -203,16 +218,18 @@ def solve(
 ) -> Coefficients:
     """Solve the triangular system for a_1..a_limit.
 
-    A kernel with Dirichlet weights u (kernel.dirichlet_weights) takes the
-    O(N log N) divisor path, (1 * u * b) = s with b_k = k*a_k, unless
-    force_generic is set; every other kernel runs the generic forward
-    substitution a_n = (R(n) - sum_{k<n} a_k G(n,k)) / G(n,n), which is
-    O(N^2), float only, and refused above GENERIC_CAP.  The exact backend
-    needs u = delta (the x*floor(1/x) kernel).
+    Unless force_generic is set, a kernel with Dirichlet weights u
+    (kernel.dirichlet_weights) takes the O(N log N) divisor path,
+    (1 * u * b) = s with b_k = k*a_k, and one without weights but with
+    rank-2 factors (kernel.separable_factors) the O(N) separable path.
+    Every other kernel runs the generic forward substitution
+    a_n = (R(n) - sum_{k<n} a_k G(n,k)) / G(n,n), which is O(N^2), float
+    only, and refused above GENERIC_CAP.  The exact backend needs
+    u = delta (the x*floor(1/x) kernel).
 
     Raises:
         SingularKernelError: G(n,n) = 0 for some n (u_1 = 0 on the divisor
-            path).
+            path, sum_i P[i,n] Q[i,n] = 0 on the separable path).
         BackendMismatchError: exact backend with a kernel whose u is not
             delta, or an RHS whose values are not rational (delta / integer
             beta >= 0 are rational; fractional beta is not).
@@ -240,7 +257,8 @@ def solve(
         for m in range(1, limit + 1):
             values[m] = Fraction(b[m], m) if isinstance(b[m], int) else b[m] / m
     elif backend == "float":
-        generic = force_generic or u is None
+        pq = None if force_generic or u is not None else kernel.separable_factors(limit)
+        generic = force_generic or (u is None and pq is None)
         if generic and limit > GENERIC_CAP:
             raise ValueError(
                 "generic O(N^2) solve capped at N=%d (asked %d)" % (GENERIC_CAP, limit)
@@ -251,8 +269,10 @@ def solve(
             raise ValueError("rhs %s: R(n) is not finite at n=%d" % (rhs.label, bad[0] + 1))
         if generic:
             values = _solve_generic_float(kernel, r, limit)
-        else:
+        elif u is not None:
             values = _divisor_solve_float(r, u)
+        else:
+            values = _separable_solve_float(r, *pq)
     else:
         raise ValueError("backend must be 'exact' or 'float', got %r" % (backend,))
 
@@ -294,6 +314,34 @@ def _divisor_solve_float(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     a[1:] = n[1:] * r[1:] - n[:-1] * r[:-1]
     _divisor_solve(a, u)  # b_m = m a_m
     a[1:] /= n[1:]
+    return a
+
+
+# The separable loop reads its inputs as Python floats, converted this many
+# at a time so no N-long list is ever alive.
+_SEPARABLE_CHUNK = 2048
+
+
+def _separable_solve_float(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """a_0..a_N in float64 for G(n,k) = P[0,n] Q[0,k] + P[1,n] Q[1,k]."""
+    a = np.zeros(len(r), dtype=np.float64)
+    diag = p[0] * q[0] + p[1] * q[1]  # G(n,n)
+    bad = np.flatnonzero(diag[1:] == 0.0)
+    if len(bad):
+        raise SingularKernelError(int(bad[0]) + 1)
+    s0 = s1 = 0.0  # sum_{k<n} a_k Q[i,k]
+    for lo in range(1, len(r), _SEPARABLE_CHUNK):
+        hi = min(lo + _SEPARABLE_CHUNK, len(r))
+        out = []
+        for rn, p0, p1, q0, q1, g in zip(
+            r[lo:hi].tolist(), p[0, lo:hi].tolist(), p[1, lo:hi].tolist(),
+            q[0, lo:hi].tolist(), q[1, lo:hi].tolist(), diag[lo:hi].tolist(),
+        ):
+            an = (rn - p0 * s0 - p1 * s1) / g
+            s0 += an * q0
+            s1 += an * q1
+            out.append(an)
+        a[lo:hi] = out
     return a
 
 

@@ -122,13 +122,13 @@ def test_dirichlet_weights_reproduce_the_kernel():
     assert Ingham().dirichlet_weights(10).tolist() == [0.0, 1.0]
     g = GeneralizedIngham((1.0, -0.5, 2.0))
     assert g.dirichlet_weights(7).tolist() == [0.0, 1.0, -0.5, 2.0, 1.0, -0.5, 2.0, 1.0]
-    for kern in (Ingham(), g):
+    for kern in (Ingham(), g, Disc(2.0), Disc(3.0)):
         u = kern.dirichlet_weights(60)
         for n in range(1, 61):
             for k in range(1, n + 1):
                 total = sum(u[j] * (n // (j * k)) for j in range(1, min(n // k, len(u) - 1) + 1))
                 assert n * kern.eval(n, k) / k == pytest.approx(total, rel=1e-12, abs=1e-12)
-    for kern in (Affine(0.5), LogKernel(0.5), Disc(2.0), RationalRaf(1.0, 2.0),
+    for kern in (Affine(0.5), LogKernel(0.5), Disc(2.5), RationalRaf(1.0, 2.0),
                  Scaled(Ingham(), FSpec("power", r=0.5))):
         assert kern.dirichlet_weights(10) is None
 
@@ -137,11 +137,40 @@ def test_dirichlet_weights_reproduce_the_kernel():
 @given(st.integers(min_value=1, max_value=300))
 def test_eval_row_matches_scalar(n):
     ks = np.arange(1, n + 1)
-    for kern in (Ingham(), Affine(0.3), LogKernel(0.7), Disc(2.0),
-                 RationalRaf(1.0, 3.0), GeneralizedIngham((1.0, -1.0, 0.5))):
+    for kern in (Ingham(), Affine(0.3), LogKernel(0.7), Disc(2.0), Disc(3.0),
+                 RationalRaf(1.0, 3.0), GeneralizedIngham((1.0, -1.0, 0.5)),
+                 Scaled(Ingham(), FSpec("power", r=0.5)),
+                 Scaled(Ingham(), FSpec("exp_plus_one", q=2))):
         row = kern.eval_row(n, ks)
         scalar = np.array([kern.eval(n, int(k)) for k in ks])
         np.testing.assert_allclose(row, scalar, rtol=1e-12, atol=1e-15)
+
+
+def test_separable_factors_reproduce_the_kernel():
+    # G(n,k) = P[0,n] Q[0,k] + P[1,n] Q[1,k] for all k <= n
+    for kern in (Affine(0.3), LogKernel(0.7)):
+        p, q = kern.separable_factors(60)
+        assert p.shape == q.shape == (2, 61)
+        for n in range(1, 61):
+            ks = np.arange(1, n + 1)
+            row = p[0, n] * q[0, ks] + p[1, n] * q[1, ks]
+            np.testing.assert_allclose(row, kern.eval_row(n, ks), rtol=1e-13, atol=1e-15)
+    for kern in (Ingham(), Disc(2.0), RationalRaf(1.0, 2.0), GeneralizedIngham((1.0,)),
+                 Scaled(Ingham(), FSpec("power", r=0.5))):
+        assert kern.separable_factors(10) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(1e-3, 1.0), max_size=20))
+def test_profile_vec_matches_profile(ts):
+    # every FGV kernel; t = 1/m is where the floor profiles jump (t >= 1e-3:
+    # the scalar genin profile takes 1/t Python steps)
+    t = np.array(ts + [1.0 / m for m in range(1, 41)])
+    for kern in (Ingham(), Affine(0.3), LogKernel(0.7), Disc(2.0), Disc(2.5),
+                 GeneralizedIngham((1.0, -1.0, 0.5)), Scaled(Ingham(), FSpec("power", r=0.5))):
+        assert kern.is_fgv
+        scalar = np.array([kern.profile(float(x)) for x in t])
+        np.testing.assert_allclose(kern.profile_vec(t), scalar, rtol=1e-12, atol=0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raflab.kernels import Affine, GeneralizedIngham, Ingham, LogKernel, RationalRaf
+from raflab.kernels import Affine, Disc, GeneralizedIngham, Ingham, LogKernel, RationalRaf
 from raflab.solver import (
     BackendMismatchError,
     Coefficients,
@@ -102,22 +102,30 @@ GENIN = st.builds(
 )
 
 
+# the separable kernels (affine, log) and the integer-lam staircase
+STRUCTURED = (
+    st.floats(0.05, 0.95).map(Affine)
+    | st.floats(0.05, 1.0).map(LogKernel)
+    | st.sampled_from([2.0, 3.0, 5.0, 7.0]).map(Disc)
+)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=300),
+    st.integers(min_value=2, max_value=2000),
     st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0]),
-    st.just(Ingham()) | GENIN,
+    st.just(Ingham()) | GENIN | STRUCTURED,
 )
 def test_fast_path_matches_generic(limit, beta, kernel):
     if isinstance(kernel, GeneralizedIngham):
-        limit = min(limit, 200)  # generic genin rows cost O(n) Python steps
+        limit = min(limit, 300)  # a generic genin row makes ~2 sqrt(n) numpy calls
     rhs = RhsSpec("power", beta)
     fast = solve(kernel, rhs, limit)
     slow = solve(kernel, rhs, limit, force_generic=True)
     np.testing.assert_allclose(
         fast.values_float()[1:], slow.values_float()[1:], rtol=1e-8, atol=1e-10
     )
-    assert verify_residuals(fast) <= 1.0
+    assert verify_residuals(fast, range(1, limit + 1)) <= 1.0
 
 
 def test_exact_matches_float():
@@ -134,19 +142,22 @@ def test_backend_mismatch():
         solve(Affine(0.5), RhsSpec("delta"), 100, backend="exact")
     with pytest.raises(BackendMismatchError):
         solve(Ingham(), RhsSpec("power", 0.5), 100, backend="exact")
-    # genin takes the float divisor path, but its u is not delta
-    with pytest.raises(BackendMismatchError):
-        solve(GeneralizedIngham((1.0, -1.0)), RhsSpec("delta"), 100, backend="exact")
+    # genin and integer disc take the float divisor path, but their u is not delta
+    for kern in (GeneralizedIngham((1.0, -1.0)), Disc(2.0)):
+        with pytest.raises(BackendMismatchError):
+            solve(kern, RhsSpec("delta"), 100, backend="exact")
     with pytest.raises(ValueError):
         solve(Ingham(), RhsSpec("delta"), 100, backend="sympy")
 
 
 def test_generic_cap():
     with pytest.raises(ValueError, match="capped at N=20000"):
-        solve(Affine(0.5), RhsSpec("power", 1.0), 25_000)
-    # genin has divisor structure, so the cap does not apply to it
-    c = solve(GeneralizedIngham((1.0, -1.0)), RhsSpec("power", 1.0), 25_000)
-    assert c.limit == 25_000 and c.values[1] == 1.0
+        solve(RationalRaf(1.0, 2.0), RhsSpec("power", 1.0), 25_000)
+    # divisor (genin, integer disc) and separable (affine, log) kernels
+    # are not generic, so the cap does not apply to them
+    for kern in (GeneralizedIngham((1.0, -1.0)), Disc(2.0), Affine(0.5), LogKernel(0.5)):
+        c = solve(kern, RhsSpec("power", 1.0), 25_000)
+        assert c.limit == 25_000 and c.values[1] == 1.0
 
 
 def test_singular_kernel():
