@@ -361,7 +361,7 @@ def estimate_index(
 # --------------------------------------------------------------------------
 
 
-def hlr_report(coeffs: Coefficients, table: Optional[MobiusTable] = None) -> HLRReport:
+def hlr_report(coeffs: Coefficients) -> HLRReport:
     """sup |n a_n| over 2<=n<=N, envelope growth of its running max, and the
     mean of p a_p over the 100 largest primes <= N (the n a_n = O(1) /
     p a_p -> -1 signature).  Needs an RHS with beta >= 0 (delta counts)."""
@@ -385,7 +385,7 @@ def hlr_report(coeffs: Coefficients, table: Optional[MobiusTable] = None) -> HLR
             growth = 0.0
         else:
             growth, _ = _ols_loglog(cps[pos].astype(np.float64), vals[pos])
-    spf = table.spf if table is not None and table.limit >= limit else sieve_spf_only(limit)
+    spf = sieve_spf_only(limit)
     primes = np.nonzero(spf[2 : limit + 1] == np.arange(2, limit + 1))[0] + 2
     tail = primes[-100:]
     tail_mean = float(np.mean(na[tail])) if len(tail) else 0.0
@@ -451,8 +451,8 @@ def jordan_partial_check(
     )
 
 
-def mertens_ratio_report(table: MobiusTable, limit: int) -> MertensReport:
-    """max over 2 <= x <= limit of |M(x)|/sqrt(x) and its argmax.
+def mertens_ratio_report(table: MobiusTable, limit: int, start: int = 2) -> MertensReport:
+    """max over start <= x <= limit of |M(x)|/sqrt(x) and its argmax.
 
     limit=1 degenerates to the x=1 ratio M(1)/1 = 1.
     """
@@ -460,7 +460,9 @@ def mertens_ratio_report(table: MobiusTable, limit: int) -> MertensReport:
         raise ValueError("limit outside [1, table.limit]")
     if limit == 1:
         return MertensReport(limit=1, max_ratio=1.0, argmax_x=1)
-    xs = np.arange(2, limit + 1, dtype=np.float64)
-    ratios = np.abs(table.mertens[2 : limit + 1]) / np.sqrt(xs)
+    if start < 2 or start > limit:
+        raise ValueError("start outside [2, limit]")
+    xs = np.arange(start, limit + 1, dtype=np.float64)
+    ratios = np.abs(table.mertens[start : limit + 1]) / np.sqrt(xs)
     i = int(np.argmax(ratios))
-    return MertensReport(limit=limit, max_ratio=float(ratios[i]), argmax_x=i + 2)
+    return MertensReport(limit=limit, max_ratio=float(ratios[i]), argmax_x=i + start)

@@ -137,7 +137,7 @@ def _get_table(limit: int, cache: Optional[str]) -> MobiusTable:
     if not cache:
         return sieve(limit)
     try:
-        t = load_cache(cache)
+        t = load_cache(cache, limit)
         if t.limit >= limit:
             return t
     except FileNotFoundError:

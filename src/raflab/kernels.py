@@ -336,6 +336,11 @@ class RationalRaf(Kernel):
         return "ratraf:%g,%g" % (self.x, self.y)
 
 
+# GeneralizedIngham.profile takes O(sqrt(floor(1/t))) time and memory (one
+# call at this cap, t ~ 6e-14, sums two 4e6-entry arrays); smaller t is refused
+GENIN_PROFILE_MAX_Q = 2**44
+
+
 @dataclass(frozen=True)
 class GeneralizedIngham(Kernel):
     """G(n,k) = sum_{1<=j<=n/k} (u_j/j) * Phi(j*k/n), weights periodic.
@@ -385,14 +390,26 @@ class GeneralizedIngham(Kernel):
         return u
 
     def profile(self, t: float) -> float:
-        w = self.weights
-        period = len(w)
-        total = 0.0
-        for j in range(1, int(math.floor(1.0 / t + 1e-12)) + 1):
-            uj = w[(j - 1) % period]
-            if uj != 0.0:
-                total += uj * math.floor(1.0 / (j * t) + 1e-12)
-        return total * t
+        # t * W(floor(1/t)), W(q) = sum_{j<=q} u_j floor(q/j); the same snap
+        # as Ingham.profile: t = 1/m computed one ulp high must still floor
+        # 1/t to m
+        x = 1.0 / t + 1e-12
+        if x >= GENIN_PROFILE_MAX_Q + 1:
+            raise KernelDomainError(
+                "genin profile at t=%g needs floor(1/t) <= %d" % (t, GENIN_PROFILE_MAX_Q)
+            )
+        q = math.floor(x)
+        w = np.array(self.weights)
+        # j <= r = isqrt(q) one at a time; the larger j form blocks
+        # (q//(v+1), q//v] of equal v = floor(q/j) <= r, each adding
+        # v * (U(q//v) - U(q//(v+1))) with U(m) = sum_{j<=m} u_j: O(sqrt q)
+        r = math.isqrt(q)
+        j = np.arange(1, r + 1)
+        cum = np.concatenate(([0.0], np.cumsum(w)))  # cum[i] = sum(w[:i])
+        ends = q // np.arange(1, q // (r + 1) + 2)  # q//v for v = 1..V+1
+        u_ends = (ends // len(w)) * cum[-1] + cum[ends % len(w)]
+        head = np.dot(w[(j - 1) % len(w)], q // j)
+        return float(head + np.dot(np.arange(1, len(ends)), u_ends[:-1] - u_ends[1:])) * t
 
     @property
     def spec(self) -> str:

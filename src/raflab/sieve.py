@@ -1,9 +1,11 @@
 """Sieved arithmetic tables: Mobius, Mertens, smallest prime factor, totient.
 
 Provides:
-- sieve(limit)         -> MobiusTable (mu, Mertens prefix sums, spf)
+- sieve(limit)         -> MobiusTable (mu and its Mertens prefix sums)
+- sieve_spf_only(limit) -> smallest prime factor of every n <= limit
 - totient_table(limit) -> Euler phi for all n <= limit
-- save_cache / load_cache -> binary mu cache ("RAFSIEVE1" format)
+- save_cache / load_cache -> binary mu cache ("RAFSIEVE1" format); a load
+  validates the whole file and keeps the prefix up to a requested limit
 - divisor_pass(target, weights, sign, mult) -> target[i*d] += sign*mult[i]*weights[d]
   for d ascending: sum_{k<=n} w_k floor(n/k) forwards, or its in-place
   inverse (with mult, the inverse of b -> v * b)
@@ -14,15 +16,18 @@ across workers; sieving itself is single-threaded.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import struct
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 # Refuse sieve requests whose arrays would not plausibly fit in memory
-# (three arrays of limit+1 entries; 2e8 is ~3.4 GB total).
+# (sieve() peaks at two int64 arrays of limit+1 entries plus two byte
+# arrays; 2e8 is ~3.6 GB).
 MAX_SIEVE_LIMIT = 200_000_000
 
 _CACHE_MAGIC = b"RAFSIEVE1"
@@ -37,45 +42,33 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class MobiusTable:
-    """Precomputed arithmetic arrays up to ``limit``.
+    """Mobius values and Mertens sums up to ``limit``.
 
     Attributes:
         limit: Maximum index N.
         mu: int8 array of length N+1, mu[n] in {-1, 0, +1}, mu[0] = 0.
         mertens: int64 array of length N+1, mertens[x] = sum_{n<=x} mu[n].
-        spf: int64 array of length N+1, smallest prime factor (spf[1] = 1).
     """
 
     limit: int
     mu: np.ndarray
     mertens: np.ndarray
-    spf: np.ndarray
-
-
-def _small_primes(limit: int, spf: np.ndarray) -> np.ndarray:
-    """Primes p <= sqrt(limit), read off a partially built spf array."""
-    root = int(np.sqrt(limit))
-    while (root + 1) * (root + 1) <= limit:
-        root += 1
-    while root * root > limit:
-        root -= 1
-    idx = np.arange(2, root + 1)
-    return idx[spf[2 : root + 1] == idx]
 
 
 def sieve(limit: int) -> MobiusTable:
-    """Build the full MobiusTable for 1..limit.
+    """Build the MobiusTable for 1..limit.
 
-    Vectorized sieving: smallest prime factors are assigned by masked slice
-    writes over primes p <= sqrt(limit); mu comes from a signed product
-    array (multiply val[p::p] by -p, zero out val[p^2::p^2], then compare
-    |val[n]| against n to detect one leftover prime factor > sqrt(limit)).
+    Eratosthenes-style and vectorized over the primes p <= sqrt(limit),
+    which come from sieve_spf_only(isqrt(limit)): mu comes from a signed
+    product array (multiply val[p::p] by -p, zero out val[p^2::p^2], then
+    compare |val[n]| against n to detect one leftover prime factor
+    > sqrt(limit)).
 
     Args:
         limit: Upper bound N >= 1.
 
     Returns:
-        MobiusTable with mu, mertens, spf populated.
+        MobiusTable with mu and mertens populated.
 
     Raises:
         CapacityError: limit < 1 or limit > MAX_SIEVE_LIMIT.
@@ -88,28 +81,19 @@ def sieve(limit: int) -> MobiusTable:
         )
 
     n = limit
-    spf = sieve_spf_only(n)
-
-    # mu via the signed product trick.
+    root = math.isqrt(n)
+    small = np.arange(2, root + 1)
     val = np.ones(n + 1, dtype=np.int64)
-    for p in _small_primes(n, spf):
+    for p in small[sieve_spf_only(root)[2:] == small].tolist():
         val[p::p] *= -p
-        sq = int(p) * int(p)
-        val[sq::sq] = 0
-    mu = np.zeros(n + 1, dtype=np.int8)
-    idx = np.arange(n + 1, dtype=np.int64)
-    nonzero = val != 0
-    sign = np.sign(val).astype(np.int8)
-    # |val[n]| == n  -> all prime factors were <= sqrt(N): mu = sign
-    # |val[n]| <  n  -> exactly one extra prime factor > sqrt(N): mu = -sign
-    complete = np.abs(val) == idx
-    mu[nonzero & complete] = sign[nonzero & complete]
-    mu[nonzero & ~complete] = -sign[nonzero & ~complete]
+        val[p * p :: p * p] = 0
+    # mu = sign(val), 0 where a square divides n; |val[n]| < n means exactly
+    # one prime factor > sqrt(N) is left over, which flips the sign
+    mu = np.sign(val).astype(np.int8)
+    np.abs(val, out=val)
+    np.negative(mu, out=mu, where=val != np.arange(n + 1))
     mu[0] = 0
-    if n >= 1:
-        mu[1] = 1
-
-    return MobiusTable(limit=n, mu=mu, mertens=_mertens(mu), spf=spf)
+    return MobiusTable(limit=n, mu=mu, mertens=_mertens(mu))
 
 
 def _mertens(mu: np.ndarray) -> np.ndarray:
@@ -159,8 +143,12 @@ def save_cache(table: MobiusTable, path: str) -> None:
             os.remove(tmp)
 
 
-def load_cache(path: str) -> MobiusTable:
-    """Load a mu cache written by save_cache; mertens and spf are recomputed.
+def load_cache(path: str, limit: Optional[int] = None) -> MobiusTable:
+    """Load a mu cache written by save_cache, then recompute mertens.
+
+    The header, the file size and every mu byte are validated, whatever
+    limit asks for.  With a limit below the file's, only mu[:limit+1] is
+    kept (and summed); otherwise the whole file is.
 
     Raises:
         ValueError: wrong magic, a header limit above MAX_SIEVE_LIMIT, a file
@@ -171,26 +159,30 @@ def load_cache(path: str) -> MobiusTable:
         head = fh.read(header)
         if len(head) != header or head[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
             raise ValueError("not a RAFSIEVE1 cache file: %r" % (path,))
-        (limit,) = struct.unpack("<Q", head[len(_CACHE_MAGIC) :])
-        if limit > MAX_SIEVE_LIMIT:
+        (stored,) = struct.unpack("<Q", head[len(_CACHE_MAGIC) :])
+        if stored > MAX_SIEVE_LIMIT:
             raise ValueError(
-                "RAFSIEVE1 cache %r: limit %d exceeds max %d" % (path, limit, MAX_SIEVE_LIMIT)
+                "RAFSIEVE1 cache %r: limit %d exceeds max %d" % (path, stored, MAX_SIEVE_LIMIT)
             )
         size = os.fstat(fh.fileno()).st_size
-        if size != header + limit + 1:
+        if size != header + stored + 1:
             raise ValueError(
                 "RAFSIEVE1 cache %r: %d bytes, limit %d needs %d"
-                % (path, size, limit, header + limit + 1)
+                % (path, size, stored, header + stored + 1)
             )
-        mu = np.frombuffer(fh.read(limit + 1), dtype=np.int8).copy()
-    if mu.min() < -1 or mu.max() > 1:
+        raw = np.frombuffer(fh.read(stored + 1), dtype=np.int8)
+    if raw.min() < -1 or raw.max() > 1:
         raise ValueError("RAFSIEVE1 cache %r: mu value outside {-1, 0, 1}" % (path,))
-    # spf is cheap relative to the mu sieve; rebuild it.
-    return MobiusTable(limit=int(limit), mu=mu, mertens=_mertens(mu), spf=sieve_spf_only(limit))
+    keep = int(stored) if limit is None else min(int(stored), limit)
+    mu = raw[: keep + 1].copy()
+    return MobiusTable(limit=keep, mu=mu, mertens=_mertens(mu))
 
 
 def sieve_spf_only(limit: int) -> np.ndarray:
-    """Smallest prime factor of 0..limit (spf[1] = 1), int64; sieve() uses it."""
+    """Smallest prime factor of 0..limit (spf[1] = 1), int64.
+
+    sieve() reads its primes <= sqrt(N) off sieve_spf_only(isqrt(N)).
+    """
     spf = np.zeros(limit + 1, dtype=np.int64)
     if limit >= 1:
         spf[1] = 1

@@ -167,9 +167,9 @@ def test_index_brackets_ingham_half():
 # ---------------------------------------------------------------- HLR report
 
 
-def test_hlr_beta_one_is_mobius(table_100k):
+def test_hlr_beta_one_is_mobius():
     c = solve(Ingham(), RhsSpec("power", 1.0), 20_000)
-    h = hlr_report(c, table_100k)
+    h = hlr_report(c)
     assert h.sup_abs == 1.0
     assert h.growth_exponent == 0.0
     assert h.prime_tail_mean == -1.0
@@ -235,3 +235,17 @@ def test_mertens_ratio_edges(table_small):
     assert mertens_ratio_report(table_small, 1).max_ratio == 1.0
     with pytest.raises(ValueError):
         mertens_ratio_report(table_small, 2000)
+    for start in (1, 1001):
+        with pytest.raises(ValueError):
+            mertens_ratio_report(table_small, 1000, start=start)
+
+
+def test_mertens_ratio_from_start(table_small):
+    whole = mertens_ratio_report(table_small, 1000)
+    assert mertens_ratio_report(table_small, 1000, start=2) == whole
+    tail = mertens_ratio_report(table_small, 1000, start=100)
+    assert tail.argmax_x >= 100
+    xs = np.arange(100, 1001)
+    ratios = np.abs(table_small.mertens[100:]) / np.sqrt(xs)
+    assert tail.max_ratio == ratios.max()
+    assert tail.argmax_x == xs[np.argmax(ratios)]

@@ -19,7 +19,7 @@ import pytest
 import raflab.cli
 from raflab import claims
 from raflab.cli import main
-from raflab.sieve import load_cache
+from raflab.sieve import load_cache, save_cache, sieve
 from raflab.solver import VerificationError
 
 _TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -447,6 +447,34 @@ def test_sieve_cache_written_on_miss_and_reused(capsys, tmp_path):
         ["count", "--what", "elias", "--n", "1000", "--sieve-cache", str(cache)],
     )
     assert rc3 == 0 and out3.strip() == "formula=19" and err3 == ""
+
+
+_TABLE_READERS = [
+    ["count", "--what", "elias", "--n", "500"],
+    ["count", "--what", "smooth:2,3", "--n", "300"],
+    ["jordan", "--beta", "0.25", "--x", "2000"],
+    ["mertens", "--x", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", _TABLE_READERS, ids=["elias", "smooth", "jordan", "mertens"])
+def test_sieve_cache_prefix_prints_the_same_json(capsys, tmp_path, monkeypatch, argv):
+    argv = argv + ["--json"]
+    cache = tmp_path / "sieve.bin"
+    rc, plain, _ = run(capsys, argv)
+    assert rc == 0
+    rc, miss, err = run(capsys, argv + ["--sieve-cache", str(cache)])
+    assert rc == 0 and err == "" and miss == plain
+    # a hit from a larger cache reads its prefix and sieves nothing
+    save_cache(sieve(5000), str(cache))
+
+    def no_sieve(limit):
+        raise AssertionError("sieve(%d) on a cache hit" % limit)
+
+    monkeypatch.setattr(raflab.cli, "sieve", no_sieve)
+    rc, hit, err = run(capsys, argv + ["--sieve-cache", str(cache)])
+    assert rc == 0 and err == "" and hit == plain
+    assert load_cache(str(cache)).limit == 5000
 
 
 def test_rejected_sieve_cache_warns_and_is_rebuilt(capsys, tmp_path):

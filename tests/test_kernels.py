@@ -1,8 +1,15 @@
+import math
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from raflab.kernels import (
+    GENIN_PROFILE_MAX_Q,
     Affine,
     Disc,
     FSpec,
@@ -163,8 +170,7 @@ def test_separable_factors_reproduce_the_kernel():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(1e-3, 1.0), max_size=20))
 def test_profile_vec_matches_profile(ts):
-    # every FGV kernel; t = 1/m is where the floor profiles jump (t >= 1e-3:
-    # the scalar genin profile takes 1/t Python steps)
+    # every FGV kernel; t = 1/m is where the floor profiles jump
     t = np.array(ts + [1.0 / m for m in range(1, 41)])
     for kern in (Ingham(), Affine(0.3), LogKernel(0.7), Disc(2.0), Disc(2.5),
                  GeneralizedIngham((1.0, -1.0, 0.5)), Scaled(Ingham(), FSpec("power", r=0.5))):
@@ -211,6 +217,59 @@ def test_fspec_validation():
     assert f.log_value(4) == pytest.approx(np.log(82.0))
     # overflow-free log for huge arguments
     assert FSpec("exp_plus_one", q=2).log_value(5000) == pytest.approx(5000 * np.log(2.0))
+
+
+def _genin_profile_per_j(weights, t):
+    """The per-j loop GeneralizedIngham.profile replaced: floor(1/t) steps."""
+    period = len(weights)
+    total = 0.0
+    for j in range(1, int(math.floor(1.0 / t + 1e-12)) + 1):
+        uj = weights[(j - 1) % period]
+        if uj != 0.0:
+            total += uj * math.floor(1.0 / (j * t) + 1e-12)
+    return total * t
+
+
+def test_genin_profile_matches_per_j_loop():
+    # dyadic weights keep both sums exact, so they agree bit for bit: at
+    # every jump t = 1/m up to m = 2000, and at log-uniform t in [1e-4, 1]
+    rng = np.random.default_rng(0)
+    ts = [1.0 / m for m in range(1, 2001)] + (10.0 ** rng.uniform(-4.0, 0.0, 300)).tolist()
+    for weights in ((1.0, -1.0), (1.0, -0.5, 2.0), (0.0, 1.0, -1.0, 0.25)):
+        g = GeneralizedIngham(weights)
+        for t in ts:
+            assert g.profile(t) == _genin_profile_per_j(g.weights, t), (weights, t)
+    g = GeneralizedIngham((1.0, 1.0 / 3.0))  # not dyadic: equal up to rounding
+    for t in ts[::7]:
+        assert g.profile(t) == pytest.approx(_genin_profile_per_j(g.weights, t), rel=1e-12)
+
+
+def test_genin_f_transform_finishes():
+    # t reaches 3/(2^40 + 1) at 2n = 40, about 3.7e11 steps of the per-j
+    # loop; O(sqrt(floor(1/t))) blocks take well under a second.  A child
+    # process, so a regression fails at the timeout instead of hanging.
+    code = (
+        "from raflab.kernels import FSpec, GeneralizedIngham\n"
+        "from raflab.mellin import limit_transform_wrt_f\n"
+        "tr = limit_transform_wrt_f(GeneralizedIngham((1, -1)), FSpec('exp_plus_one', q=2), -1, 20)\n"
+        "print(abs(tr.value_2n - tr.value))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=dict(os.environ, PYTHONPATH=path))
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1e-6  # geometric convergence in n
+
+
+def test_genin_profile_refuses_below_its_cap():
+    g = GeneralizedIngham((1.0, -1.0))
+    assert math.isfinite(g.profile(1.0 / GENIN_PROFILE_MAX_Q))
+    for t in (0.5 / GENIN_PROFILE_MAX_Q, 1e-300, 1e-320):
+        with pytest.raises(KernelDomainError):
+            g.profile(t)
 
 
 def test_genin_row_handles_unsorted_and_empty():

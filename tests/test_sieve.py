@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import struct
@@ -16,6 +17,7 @@ from raflab.sieve import (
     load_cache,
     save_cache,
     sieve,
+    sieve_spf_only,
     totient_table,
 )
 
@@ -37,6 +39,34 @@ def naive_mu(n):
     if m > 1:
         out = -out
     return out
+
+
+def _primes(limit):
+    return [p for p in range(2, limit + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+# n = p^2 and (pq)^2, and next to them, where the largest prime <= sqrt(n)
+# changes; n <= 3e4 keeps the trial-division reference cheap
+_SQUARE_ROOTS = sorted({p * q for p in _primes(173) for q in [1] + _primes(173) if p * q <= 173})
+DIFF_SIZES = st.one_of(
+    st.builds(lambda r, e: r * r + e, st.sampled_from(_SQUARE_ROOTS), st.sampled_from([-1, 0, 1])),
+    st.integers(min_value=1, max_value=30_000),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _trial_division_mu(limit):
+    return np.array([0] + [naive_mu(m) for m in range(1, limit + 1)], dtype=np.int8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIFF_SIZES)
+def test_sieve_matches_trial_division(n):
+    ref = _trial_division_mu(30_001)[: n + 1]
+    t = sieve(n)
+    assert t.limit == n
+    assert np.array_equal(t.mu, ref)
+    assert np.array_equal(t.mertens, np.concatenate(([0], np.cumsum(ref[1:], dtype=np.int64))))
 
 
 def test_hand_rows(table_small):
@@ -73,9 +103,10 @@ def test_mobius_sum_over_divisors(table_100k, n):
     assert sum(int(table_100k.mu[d]) for d in divs) == 0
 
 
-def test_spf_is_smallest_prime_factor(table_small):
+def test_spf_is_smallest_prime_factor():
+    spf = sieve_spf_only(1000)
     for n in range(2, 1001):
-        p = int(table_small.spf[n])
+        p = int(spf[n])
         assert n % p == 0
         for q in range(2, p):
             assert n % q != 0
@@ -99,7 +130,31 @@ def test_cache_roundtrip(tmp_path, table_small):
     assert loaded.limit == table_small.limit
     assert np.array_equal(loaded.mu, table_small.mu)
     assert np.array_equal(loaded.mertens, table_small.mertens)
-    assert np.array_equal(loaded.spf, table_small.spf)
+
+
+def test_cache_prefix_equals_smaller_sieve(tmp_path, table_small):
+    path = tmp_path / "sieve.bin"
+    save_cache(table_small, str(path))
+    for limit in (1, 2, 3, 24, 25, 26, 500, 999, 1000, 5000):
+        loaded = load_cache(str(path), limit)
+        want = sieve(min(limit, 1000))  # a larger request gets the whole file
+        assert loaded.limit == want.limit
+        for got, ref in ((loaded.mu, want.mu), (loaded.mertens, want.mertens)):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+
+def test_cache_prefix_still_checks_every_byte(tmp_path, table_small):
+    path = tmp_path / "sieve.bin"
+    save_cache(table_small, str(path))
+    raw = path.read_bytes()
+    header = len(raw) - (table_small.limit + 1)
+    for bad in (7, 0x80):  # 7 and -128, both past the requested limit
+        corrupt = bytearray(raw)
+        corrupt[header + 900] = bad
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(ValueError, match="outside"):
+            load_cache(str(path), 100)
 
 
 def test_cache_rejects_garbage(tmp_path):
