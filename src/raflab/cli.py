@@ -9,7 +9,12 @@ built-in defaults.
 
 Each handler returns a Result; main() alone times it, writes the CSV and
 manifest, and prints either the JSON document or the plain text.  wall_ms
-covers the whole subcommand, sieve or cache load included.
+covers the whole subcommand, sieve or cache load included.  The solve CSV
+body is rendered as pre-formatted text blocks of SOLVE_CSV_BLOCK rows, after
+the clock stops; every other CSV goes through csv.writer, which quotes.
+An --out write is atomic: the CSV and the manifest go to temp files next to
+them, which replace the old pair only once both are complete, so a failed
+write leaves an earlier CSV and manifest as they were.
 
 `verify --suite exact|asymptotic|full` runs the claims of raflab.claims,
 one PASS/FAIL line each; a claim that raises counts as FAIL.  `full` runs
@@ -30,11 +35,12 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__, claims
 from .asymptotics import (
@@ -184,6 +190,8 @@ class Result:
 
     doc is the --json document and text the plain stdout.  header and rows
     are the --out CSV; rows may be a generator, consumed after the clock
+    stops.  body, when set, replaces rows with pre-rendered CSV text (solve
+    yields one string per block of rows), also consumed after the clock
     stops.  meta holds the manifest's kernel/rhs/n/backend/tolerances.  A
     doc dict holding a "wall_ms" key gets the subcommand's wall time there.
     """
@@ -191,26 +199,49 @@ class Result:
     doc: object
     text: str
     header: Sequence[str]
-    rows: Iterable[Sequence]
+    rows: Iterable[Sequence] = ()
+    body: Optional[Iterable[str]] = None
     meta: Dict[str, object] = field(default_factory=dict)
     code: int = 0
 
 
 def _emit(res: Result, args: argparse.Namespace, cmdline: str, wall_ms: int) -> None:
-    """Write the --out CSV and its manifest sidecar, then print doc or text."""
+    """Write the --out CSV and its manifest sidecar, then print doc or text.
+
+    Both files are written to <path>.<pid>.tmp first and replace their
+    targets only once both are complete; the temp files never outlive a
+    failure.
+    """
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(res.header)
-            w.writerows(res.rows)
-        manifest = {
-            "cmd": cmdline, "kernel": None, "rhs": None, "n": None, "backend": None,
-            "tolerances": {}, **res.meta,
-            "outputs": [args.out], "wall_ms": wall_ms, "version": __version__,
-        }
-        with open(args.out + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        paths = (args.out, args.out + ".manifest.json")
+        tmps = ["%s.%d.tmp" % (p, os.getpid()) for p in paths]
+        try:
+            with open(tmps[0], "w", newline="") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(res.header)
+                if res.body is None:
+                    w.writerows(res.rows)
+                else:
+                    fh.writelines(res.body)
+            manifest = {
+                "cmd": cmdline, "kernel": None, "rhs": None, "n": None, "backend": None,
+                "tolerances": {}, **res.meta,
+                "outputs": [args.out], "wall_ms": wall_ms, "version": __version__,
+            }
+            with open(tmps[1], "w") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            for tmp, path in zip(tmps, paths):
+                os.replace(tmp, path)
+        except OSError as exc:
+            if exc.filename not in tmps:
+                raise
+            # name the file that was asked for, not its temp file
+            raise OSError(exc.errno, exc.strerror, paths[tmps.index(exc.filename)]) from exc
+        finally:
+            for tmp in tmps:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
     if isinstance(res.doc, dict) and "wall_ms" in res.doc:
         res.doc["wall_ms"] = wall_ms
     print(json.dumps(res.doc) if args.json else res.text)
@@ -221,6 +252,29 @@ def _emit(res: Result, args: argparse.Namespace, cmdline: str, wall_ms: int) -> 
 # ---------------------------------------------------------------------------
 
 
+# Rows per pre-rendered text block of the solve CSV.
+SOLVE_CSV_BLOCK = 16384
+
+
+def _solve_body(a, limit: int, exact: bool) -> Iterator[str]:
+    """Rows n = 1..limit of the solve CSV, SOLVE_CSV_BLOCK rows per string.
+
+    A float row is "%d,%.17g" (the _f format), an exact row n, numerator,
+    denominator; neither can hold a character csv.writer would quote.
+    """
+    fmt, width = ("%d,%d,%d\n", 3) if exact else ("%d,%.17g\n", 2)
+    for lo in range(1, limit + 1, SOLVE_CSV_BLOCK):
+        hi = min(lo + SOLVE_CSV_BLOCK, limit + 1)
+        cells: list = [0] * (width * (hi - lo))
+        cells[0::width] = range(lo, hi)
+        if exact:
+            cells[1::3] = [x.numerator for x in a[lo:hi]]
+            cells[2::3] = [x.denominator for x in a[lo:hi]]
+        else:
+            cells[1::2] = a[lo:hi].tolist()
+        yield (fmt * (hi - lo)) % tuple(cells)
+
+
 def _cmd_solve(args: argparse.Namespace) -> Result:
     kernel = parse_kernel(args.kernel)
     rhs = parse_rhs(args.rhs)
@@ -228,12 +282,7 @@ def _cmd_solve(args: argparse.Namespace) -> Result:
     a = coeffs.values
     limit = coeffs.limit
     exact = coeffs.backend == "exact"
-    if exact:
-        header = ("n", "a_num", "a_den")
-        rows = ((n, a[n].numerator, a[n].denominator) for n in range(1, limit + 1))
-    else:
-        header = ("n", "a_n")
-        rows = ((n, _f(a[n])) for n in range(1, limit + 1))
+    header = ("n", "a_num", "a_den") if exact else ("n", "a_n")
     head = [str(a[k]) if exact else float(a[k]) for k in range(1, min(limit, 10) + 1)]
     return Result(
         doc={
@@ -244,7 +293,7 @@ def _cmd_solve(args: argparse.Namespace) -> Result:
         text="solved %s | %s | n=%d backend=%s: a_1=%s a_%d=%s"
         % (kernel.spec, rhs.label, args.n, coeffs.backend, a[1], limit, a[limit]),
         header=header,
-        rows=rows,
+        body=_solve_body(a, limit, exact),
         meta={"kernel": kernel.spec, "rhs": rhs.label, "n": args.n, "backend": coeffs.backend},
     )
 

@@ -57,6 +57,10 @@ from .sieve import MobiusTable, divisor_pass
 # Largest N the generic O(N^2) forward substitution accepts.
 GENERIC_CAP = 20_000
 
+# ingham_coeff_closed takes one strided slice per squarefree j up to
+# N // CLOSED_FORM_SPLIT, and one per multiplier m for the larger j.
+CLOSED_FORM_SPLIT = 64
+
 
 class SingularKernelError(ZeroDivisionError):
     """G(n,n) = 0 at some n: the triangular system is unsolvable."""
@@ -488,9 +492,18 @@ def ingham_coeff_closed(
     every beta: x^0 := 1 for x > 0 and 0^(1-beta) := 0, which reproduces
     both the beta=1 row n*a_n = mu(n) and the beta=0 row [n=1].)
 
-    Computed by accumulating, for each squarefree j, mu(j)*t(m) into index
-    j*m — one sieve-style pass over multiples.  exact=True (integer beta
-    only) returns Fractions; default returns float64.
+    Computed by accumulating mu(j)*t(m) into index j*m.  exact=True
+    (integer beta only) loops over squarefree j and returns Fractions.  The
+    float64 default runs in two phases.  Phase 1 adds, for each squarefree
+    j <= J0 = N // CLOSED_FORM_SPLIT, mu(j)*t(1..N/j) to the multiples of j
+    as one strided slice.  Phase 2 covers every j > J0 with one strided
+    slice per multiplier m (fewer than CLOSED_FORM_SPLIT of them, as
+    j*m <= N): mu(J0+1..N/m)*t(m) into indices (J0+1)*m..(N/m)*m.  For a
+    fixed target k = j*m a smaller m is a larger j, so running m from
+    N // (J0+1) down to 1 delivers the j > J0 terms of out[k] in ascending
+    j, after the phase-1 terms: the same summation order as one pass over
+    every squarefree j, hence bit-identical floats.  A mu = 0 entry adds
+    exactly 0.0, also where t(m) is infinite (0*inf would be nan).
     """
     if limit > table.limit:
         raise ValueError("limit %d exceeds table limit %d" % (limit, table.limit))
@@ -527,15 +540,21 @@ def ingham_coeff_closed(
         t_arr[2:] = d[2:] ** (1.0 - beta) - d[1:-1] ** (1.0 - beta)
     t_arr[1] = 1.0
     out_arr = np.zeros(limit + 1, dtype=np.float64)
-    for j in range(1, limit + 1):
-        m = int(mu[j])
-        if m == 0:
+    j0 = limit // CLOSED_FORM_SPLIT
+    for j in range(1, j0 + 1):
+        sign = int(mu[j])
+        if sign == 0:
             continue
         ln = limit // j
-        if m == 1:
+        if sign == 1:
             out_arr[j :: j][: ln] += t_arr[1 : ln + 1]
         else:
             out_arr[j :: j][: ln] -= t_arr[1 : ln + 1]
+    with np.errstate(invalid="ignore"):
+        for m in range(limit // (j0 + 1), 0, -1):
+            hi = limit // m
+            mj = mu[j0 + 1 : hi + 1]
+            out_arr[(j0 + 1) * m : hi * m + 1 : m] += np.where(mj == 0, 0.0, mj * t_arr[m])
     return out_arr
 
 

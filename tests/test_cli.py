@@ -6,10 +6,13 @@ with capsys so we can check the printed values, not just exit codes.
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import re
+import resource
+import signal
 import subprocess
 import sys
 
@@ -18,9 +21,10 @@ import pytest
 
 import raflab.cli
 from raflab import claims
-from raflab.cli import main
+from raflab.cli import SOLVE_CSV_BLOCK, main
+from raflab.kernels import parse_kernel
 from raflab.sieve import load_cache, save_cache, sieve
-from raflab.solver import VerificationError
+from raflab.solver import VerificationError, parse_rhs, solve
 
 _TESTS = os.path.dirname(os.path.abspath(__file__))
 
@@ -31,14 +35,19 @@ def run(capsys, argv):
     return rc, cap.out, cap.err
 
 
-def run_python_O(argv):
-    """`python -O -m raflab.cli <argv>` in a subprocess, with src/ on the path."""
+def run_subprocess(argv, flags=(), preexec_fn=None):
+    """`python <flags> -m raflab.cli <argv>` in a subprocess, with src/ on the path."""
     src = os.path.join(_TESTS, os.pardir, "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-O", "-m", "raflab.cli"] + argv,
+        [sys.executable, *flags, "-m", "raflab.cli"] + argv, preexec_fn=preexec_fn,
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_python_O(argv):
+    """`python -O -m raflab.cli <argv>` in a subprocess, with src/ on the path."""
+    return run_subprocess(argv, ["-O"])
 
 
 # ------------------------------------------------------------------ exit codes
@@ -79,6 +88,15 @@ def test_unwritable_out_is_io_error(capsys, tmp_path):
     )
     assert rc == 2
     assert "error" in err.lower()
+    assert err.rstrip().endswith("x.csv'")  # the path asked for, not a temp file
+
+
+def test_out_path_that_is_a_directory_is_io_error(capsys, tmp_path):
+    rc, out, err = run(capsys, ["solve", "--n", "5", "--out", str(tmp_path)])
+    assert rc == 2 and out == ""
+    assert err == "i/o error: [Errno 21] Is a directory: %r\n" % str(tmp_path)
+    assert os.listdir(tmp_path) == []
+    assert not [p for p in os.listdir(tmp_path.parent) if p.endswith(".tmp")]
 
 
 def test_overflowing_rhs_is_usage_error_also_under_python_O(capsys):
@@ -219,6 +237,66 @@ def test_solve_runs_are_deterministic(capsys, tmp_path):
     run(capsys, ["solve", "--n", "200", "--rhs", "power:0.5", "--out", str(a)])
     run(capsys, ["solve", "--n", "200", "--rhs", "power:0.5", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def reference_solve_csv(kernel, rhs, n, backend):
+    """The solve CSV written one csv.writer row per n, a_n in the %.17g format."""
+    coeffs = solve(parse_kernel(kernel), parse_rhs(rhs), n, backend=backend)
+    a = coeffs.values
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n")
+    if backend == "exact":
+        w.writerow(("n", "a_num", "a_den"))
+        w.writerows((k, a[k].numerator, a[k].denominator) for k in range(1, n + 1))
+    else:
+        w.writerow(("n", "a_n"))
+        w.writerows((k, "%.17g" % float(a[k])) for k in range(1, n + 1))
+    return buf.getvalue().encode()
+
+
+B = SOLVE_CSV_BLOCK
+
+
+# one row; one row short of, at and one past the first block edge; past the second
+@pytest.mark.parametrize("kernel,rhs,n,backend", [
+    ("ingham", "power:0.7", 1, "float"),
+    ("ingham", "power:0.7", B - 1, "float"),
+    ("ingham", "power:0.7", B, "float"),
+    ("ingham", "power:0.7", B + 1, "float"),
+    ("ingham", "power:0.7", 2 * B + 1, "float"),
+    ("affine:0.5", "power:0.5", B + 1, "float"),
+    ("disc:2", "power:1.5", B + 1, "float"),
+    ("ingham", "power:2", B + 1, "exact"),
+    ("ingham", "delta", B + 1, "exact"),
+])
+def test_solve_csv_bytes_match_per_row_writer(capsys, tmp_path, kernel, rhs, n, backend):
+    out_path = tmp_path / "coef.csv"
+    rc, _, _ = run(capsys, ["solve", "--kernel", kernel, "--rhs", rhs, "--n", str(n),
+                            "--backend", backend, "--out", str(out_path)])
+    assert rc == 0
+    assert out_path.read_bytes() == reference_solve_csv(kernel, rhs, n, backend)
+
+
+def _limit_file_size():
+    """preexec_fn: files may not grow past 64 KiB, and a write past it fails (EFBIG)."""
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE,
+                       (64 * 1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+
+def test_failed_out_write_leaves_old_csv_and_manifest(capsys, tmp_path):
+    out_path = tmp_path / "fs.csv"
+    man_path = tmp_path / "fs.csv.manifest.json"
+    rc, _, _ = run(capsys, ["solve", "--n", "50", "--out", str(out_path)])
+    assert rc == 0
+    before = (out_path.read_bytes(), man_path.read_bytes())
+
+    proc = run_subprocess(["solve", "--n", "100000", "--out", str(out_path)],
+                          preexec_fn=_limit_file_size)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "i/o error: [Errno 27] File too large\n"
+    assert (out_path.read_bytes(), man_path.read_bytes()) == before
+    assert sorted(os.listdir(tmp_path)) == ["fs.csv", "fs.csv.manifest.json"]
 
 
 # ------------------------------------------------------------------------ scan

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raflab.kernels import Affine, Disc, GeneralizedIngham, Ingham, LogKernel, RationalRaf
+from raflab.sieve import sieve
 from raflab.solver import (
+    CLOSED_FORM_SPLIT,
     BackendMismatchError,
     Coefficients,
     PartialSumSeries,
@@ -182,6 +184,49 @@ def test_closed_matches_solve(table_small):
         nan = c.n_a_n()
         closed = ingham_coeff_closed(table_small, beta, 600)
         np.testing.assert_allclose(closed[1:], nan[1:], rtol=1e-9, atol=1e-9)
+
+
+def reference_coeff_closed(table, beta, limit):
+    """The per-squarefree-j loop the two-phase float closed form replaces."""
+    d = np.arange(limit + 1, dtype=np.float64)
+    t = np.zeros(limit + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t[2:] = d[2:] ** (1.0 - beta) - d[1:-1] ** (1.0 - beta)
+    t[1] = 1.0
+    out = np.zeros(limit + 1, dtype=np.float64)
+    for j in range(1, limit + 1):
+        m = int(table.mu[j])
+        if m == 0:
+            continue
+        ln = limit // j
+        if m == 1:
+            out[j :: j][: ln] += t[1 : ln + 1]
+        else:
+            out[j :: j][: ln] -= t[1 : ln + 1]
+    return out
+
+
+S = CLOSED_FORM_SPLIT
+# below S, at S and S*S (where phase 1 gains its first and S-th j) and next to them
+CLOSED_SIZES = st.one_of(
+    st.sampled_from([1, 2, S - 1, S, S + 1, 2 * S, S * S - 1, S * S, S * S + 1]),
+    st.integers(min_value=1, max_value=5000),
+)
+# beta = -400 overflows t(d) to inf, then nan (inf - inf), from d = 6 on
+CLOSED_BETAS = st.one_of(st.sampled_from([0.0, 1.0, 2.0, -1.0, -400.0]),
+                         st.floats(min_value=-3.0, max_value=3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=CLOSED_SIZES, beta=CLOSED_BETAS)
+def test_closed_matches_per_j_loop_bit_for_bit(n, beta):
+    table = sieve(n)
+    with np.errstate(over="ignore"):
+        got = ingham_coeff_closed(table, beta, n)
+        want = reference_coeff_closed(table, beta, n)
+    assert got.dtype == np.float64 and len(got) == n + 1
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_closed_exact_fractions(table_small):
