@@ -127,6 +127,12 @@ class Kernel:
         or None when the kernel is not rank-2 separable."""
         return None
 
+    def hankel_values(self, limit: int):
+        """h_0..h_{2*limit} with G(n,k) = h[n+k] for all k <= n <= limit,
+        bit for bit equal to eval_row's entries, or None when G does not
+        depend on n+k alone."""
+        return None
+
     def _check(self, n: int, k: int) -> None:
         if k < 1 or k > n:
             raise KernelDomainError("need 1 <= k <= n, got n=%d k=%d" % (n, k))
@@ -329,6 +335,12 @@ class RationalRaf(Kernel):
 
     def eval_row(self, n: int, ks: np.ndarray) -> np.ndarray:
         s = n + np.asarray(ks, dtype=np.float64)
+        return (s + self.x) / (s + self.y)
+
+    def hankel_values(self, limit: int) -> np.ndarray:
+        # s = n+k <= 2*limit is an exact float64, so h[s] repeats eval_row's
+        # float ops on the same operands and matches it bit for bit
+        s = np.arange(2 * limit + 1, dtype=np.float64)
         return (s + self.x) / (s + self.y)
 
     @property

@@ -14,7 +14,10 @@ kernel's class, in this order:
                 (Kernel.separable_factors: affine, log).
   * generic   — O(N^2) forward substitution, float only, for every other
                 kernel (ratraf, scaled, disc with non-integer lam); refused
-                above GENERIC_CAP.
+                above GENERIC_CAP.  Rows come from kernel.eval_row, except
+                for a Hankel kernel (Kernel.hankel_values: ratraf, with
+                G(n,k) = h[n+k]), whose row n is the view h[n+1 : 2n+1] of
+                one table; same loop, same dot products, same bits.
 
 Divisor-path algebra (convention-free, used by both backends): when
 n*G(n,k)/k = sum_{j<=n/k} u_j floor(n/(j*k)), multiply the defining
@@ -136,12 +139,14 @@ class RhsSpec:
         return r
 
     def value_exact(self, n: int, l0: Optional[np.ndarray] = None) -> Fraction:
+        """R(n) as a Fraction (integer beta); l0pow needs the L0 table l0."""
         if self.kind == "delta":
             return Fraction(1 if n == 1 else 0)
         b = int(self.beta)
         base = Fraction(1, n**b) if b >= 0 else Fraction(n ** (-b))
         if self.kind == "l0pow":
-            assert l0 is not None
+            if l0 is None:
+                raise ValueError("l0pow rhs needs the L0 table to give R(%d)" % n)
             base *= int(l0[n])
         return base
 
@@ -228,8 +233,12 @@ def solve(
     rank-2 factors (kernel.separable_factors) the O(N) separable path.
     Every other kernel runs the generic forward substitution
     a_n = (R(n) - sum_{k<n} a_k G(n,k)) / G(n,n), which is O(N^2), float
-    only, and refused above GENERIC_CAP.  The exact backend needs
-    u = delta (the x*floor(1/x) kernel).
+    only, and refused above GENERIC_CAP; its rows are views of one table
+    h when the kernel declares G(n,k) = h[n+k] (kernel.hankel_values), and
+    kernel.eval_row calls otherwise.  force_generic always builds rows with
+    eval_row, so it stays the reference for every faster path.  The
+    post-solve residual check evaluates the kernel with eval_row, never from
+    h.  The exact backend needs u = delta (the x*floor(1/x) kernel).
 
     Raises:
         SingularKernelError: G(n,n) = 0 for some n (u_1 = 0 on the divisor
@@ -272,7 +281,8 @@ def solve(
         if len(bad):
             raise ValueError("rhs %s: R(n) is not finite at n=%d" % (rhs.label, bad[0] + 1))
         if generic:
-            values = _solve_generic_float(kernel, r, limit)
+            h = None if force_generic else kernel.hankel_values(limit)
+            values = _solve_generic_float(kernel, r, limit, h)
         elif u is not None:
             values = _divisor_solve_float(r, u)
         else:
@@ -370,14 +380,20 @@ def _exact_s(rhs: RhsSpec, limit: int) -> np.ndarray:
                 hi = Fraction(1, m ** (beta - 1))
                 lo = 0 if m == 1 else Fraction(1, (m - 1) ** (beta - 1))
             if rhs.kind == "l0pow":
-                assert l0 is not None
+                if l0 is None:
+                    raise ValueError("l0pow rhs needs the L0 table to give s(%d)" % m)
                 hi *= int(l0[m])
                 lo *= int(l0[m - 1]) if m >= 2 else 0
             s[m] = hi - lo
     return np.array(s, dtype=object)
 
 
-def _solve_generic_float(kernel: Kernel, r: np.ndarray, limit: int) -> np.ndarray:
+def _solve_generic_float(
+    kernel: Kernel, r: np.ndarray, limit: int, h: Optional[np.ndarray]
+) -> np.ndarray:
+    """a_0..a_N by forward substitution; row n is G(n, 1..n), read as the
+    view h[n+1 : 2n+1] when the kernel is Hankel (G(n,k) = h[n+k]) and
+    built by kernel.eval_row otherwise."""
     a = np.zeros(limit + 1, dtype=np.float64)
     ks = np.arange(1, limit + 1, dtype=np.int64)
     g11 = kernel.eval(1, 1)
@@ -385,7 +401,7 @@ def _solve_generic_float(kernel: Kernel, r: np.ndarray, limit: int) -> np.ndarra
         raise SingularKernelError(1)
     a[1] = r[1] / g11
     for n in range(2, limit + 1):
-        row = kernel.eval_row(n, ks[:n])
+        row = kernel.eval_row(n, ks[:n]) if h is None else h[n + 1 : 2 * n + 1]
         gnn = row[n - 1]
         if gnn == 0.0:
             raise SingularKernelError(n)
@@ -502,8 +518,11 @@ def ingham_coeff_closed(
     fixed target k = j*m a smaller m is a larger j, so running m from
     N // (J0+1) down to 1 delivers the j > J0 terms of out[k] in ascending
     j, after the phase-1 terms: the same summation order as one pass over
-    every squarefree j, hence bit-identical floats.  A mu = 0 entry adds
-    exactly 0.0, also where t(m) is infinite (0*inf would be nan).
+    every squarefree j, hence bit-identical floats.
+
+    Raises:
+        ValueError: limit past the table, a non-finite beta, or a t(n) that
+            is not finite (d^(1-beta) overflows for beta far below 0).
     """
     if limit > table.limit:
         raise ValueError("limit %d exceeds table limit %d" % (limit, table.limit))
@@ -536,9 +555,12 @@ def ingham_coeff_closed(
 
     d = np.arange(limit + 1, dtype=np.float64)
     t_arr = np.zeros(limit + 1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_arr[2:] = d[2:] ** (1.0 - beta) - d[1:-1] ** (1.0 - beta)
     t_arr[1] = 1.0
+    bad = np.flatnonzero(~np.isfinite(t_arr[1:]))
+    if len(bad):
+        raise ValueError("beta %g: t(n) is not finite at n=%d" % (beta, bad[0] + 1))
     out_arr = np.zeros(limit + 1, dtype=np.float64)
     j0 = limit // CLOSED_FORM_SPLIT
     for j in range(1, j0 + 1):
@@ -550,11 +572,9 @@ def ingham_coeff_closed(
             out_arr[j :: j][: ln] += t_arr[1 : ln + 1]
         else:
             out_arr[j :: j][: ln] -= t_arr[1 : ln + 1]
-    with np.errstate(invalid="ignore"):
-        for m in range(limit // (j0 + 1), 0, -1):
-            hi = limit // m
-            mj = mu[j0 + 1 : hi + 1]
-            out_arr[(j0 + 1) * m : hi * m + 1 : m] += np.where(mj == 0, 0.0, mj * t_arr[m])
+    for m in range(limit // (j0 + 1), 0, -1):
+        hi = limit // m
+        out_arr[(j0 + 1) * m : hi * m + 1 : m] += mu[j0 + 1 : hi + 1] * t_arr[m]
     return out_arr
 
 

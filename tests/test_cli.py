@@ -4,6 +4,7 @@ Everything goes through main(argv) in-process; stdout/stderr are captured
 with capsys so we can check the printed values, not just exit codes.
 """
 
+import ast
 import csv
 import dataclasses
 import io
@@ -424,6 +425,19 @@ def test_verify_exact_suite_passes_under_python_O():
     assert len(lines) == len(claims.suite("exact")) + 1
     assert all(l.startswith("PASS ") for l in lines[:-1])
     assert lines[-1].endswith(" failed=0")
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements; every check in src/ must raise
+    pkg = os.path.join(_TESTS, os.pardir, "src", "raflab")
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += ["%s:%d" % (name, node.lineno)
+                      for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_verify_reports_false_and_raising_claims(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from raflab.kernels import (
     GENIN_PROFILE_MAX_Q,
+    IDENTITY,
     Affine,
     Disc,
     FSpec,
@@ -165,6 +166,21 @@ def test_separable_factors_reproduce_the_kernel():
     for kern in (Ingham(), Disc(2.0), RationalRaf(1.0, 2.0), GeneralizedIngham((1.0,)),
                  Scaled(Ingham(), FSpec("power", r=0.5))):
         assert kern.separable_factors(10) is None
+
+
+def test_hankel_values_reproduce_eval_row_bit_for_bit():
+    # G(n,k) = h[n+k], with the same bits as eval_row, for all k <= n
+    for x, y in ((1.0, 2.0), (2.0, 1.0), (0.3, 7.5)):
+        kern = RationalRaf(x, y)
+        h = kern.hankel_values(60)
+        assert h.dtype == np.float64 and h.shape == (121,)
+        for n in range(1, 61):
+            ks = np.arange(1, n + 1)
+            assert np.array_equal(h[n + ks], kern.eval_row(n, ks)), (x, y, n)
+    for kern in (Ingham(), Affine(0.5), LogKernel(0.5), Disc(2.0), Disc(2.5),
+                 GeneralizedIngham((1.0, -1.0)), Scaled(Ingham(), FSpec("power", r=0.5)),
+                 Scaled(Ingham(), FSpec("exp_plus_one", q=2)), Scaled(Ingham(), IDENTITY)):
+        assert kern.hankel_values(10) is None
 
 
 @settings(max_examples=40, deadline=None)

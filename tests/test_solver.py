@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from raflab.solver import (
     PartialSumSeries,
     RhsSpec,
     SingularKernelError,
+    VerificationError,
     delta_coeff_closed,
     ingham_coeff_closed,
     l0_three_smooth,
@@ -162,6 +164,48 @@ def test_generic_cap():
         assert c.limit == 25_000 and c.values[1] == 1.0
 
 
+RATRAF_RHS = [RhsSpec("power", b) for b in (-1.0, 0.0, 0.5, 2.0)] + [RhsSpec("delta")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2000),
+    st.sampled_from(RATRAF_RHS),
+    st.sampled_from([(1.0, 2.0), (2.0, 1.0), (0.3, 7.5)]),
+)
+def test_hankel_rows_solve_bit_for_bit_like_eval_rows(limit, rhs, xy):
+    kern = RationalRaf(*xy)
+    fast = solve(kern, rhs, limit)
+    slow = solve(kern, rhs, limit, force_generic=True)
+    assert np.array_equal(fast.values, slow.values)
+    assert np.array_equal(np.signbit(fast.values), np.signbit(slow.values))
+
+
+def _nudged_hankel(monkeypatch, index):
+    """RationalRaf.hankel_values with h[index(limit)] moved up by 1e-6."""
+    true = RationalRaf.hankel_values
+
+    def nudged(self, limit):
+        h = true(self, limit)
+        h[index(limit)] += 1e-6
+        return h
+
+    monkeypatch.setattr(RationalRaf, "hankel_values", nudged)
+
+
+def test_residual_checks_do_not_read_the_hankel_table(monkeypatch):
+    kern, rhs = RationalRaf(1.0, 2.0), RhsSpec("power", 0.5)
+    # G(N,1) = h[N+1] is in the row the post-solve check recomputes at n = N
+    _nudged_hankel(monkeypatch, lambda limit: limit + 1)
+    with pytest.raises(VerificationError):
+        solve(kern, rhs, 100)
+    # G(50,1) = h[51] is only in row 50: the spot check at n = 100 passes,
+    # verify_residuals (all n <= 64) does not
+    monkeypatch.undo()
+    _nudged_hankel(monkeypatch, lambda limit: limit // 2 + 1)
+    assert verify_residuals(solve(kern, rhs, 100)) > 1.0
+
+
 def test_singular_kernel():
     for weights in ((0.0,), (0.0, 1.0)):
         for force_generic in (False, True):
@@ -212,7 +256,7 @@ CLOSED_SIZES = st.one_of(
     st.sampled_from([1, 2, S - 1, S, S + 1, 2 * S, S * S - 1, S * S, S * S + 1]),
     st.integers(min_value=1, max_value=5000),
 )
-# beta = -400 overflows t(d) to inf, then nan (inf - inf), from d = 6 on
+# beta = -400 overflows t(d) from d = 6 on, which the closed form refuses
 CLOSED_BETAS = st.one_of(st.sampled_from([0.0, 1.0, 2.0, -1.0, -400.0]),
                          st.floats(min_value=-3.0, max_value=3.0))
 
@@ -221,9 +265,13 @@ CLOSED_BETAS = st.one_of(st.sampled_from([0.0, 1.0, 2.0, -1.0, -400.0]),
 @given(n=CLOSED_SIZES, beta=CLOSED_BETAS)
 def test_closed_matches_per_j_loop_bit_for_bit(n, beta):
     table = sieve(n)
-    with np.errstate(over="ignore"):
-        got = ingham_coeff_closed(table, beta, n)
+    with np.errstate(over="ignore", invalid="ignore"):
         want = reference_coeff_closed(table, beta, n)
+    if not np.all(np.isfinite(want)):
+        with pytest.raises(ValueError, match="not finite"):
+            ingham_coeff_closed(table, beta, n)
+        return
+    got = ingham_coeff_closed(table, beta, n)
     assert got.dtype == np.float64 and len(got) == n + 1
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -244,6 +292,17 @@ def test_closed_validation(table_small):
         ingham_coeff_closed(table_small, math.inf, 100)
     with pytest.raises(BackendMismatchError):
         ingham_coeff_closed(table_small, 0.5, 100, exact=True)
+
+
+def test_closed_refuses_overflowing_t(table_small):
+    # t(6) = 6^401 - 5^401 overflows; solve refuses this beta as well
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"beta -400: t\(n\) is not finite at n=6$"):
+            ingham_coeff_closed(table_small, -400.0, 1000)
+        assert np.all(np.isfinite(ingham_coeff_closed(table_small, -400.0, 5)))
+    with pytest.raises(ValueError, match=r"R\(n\) is not finite"):
+        solve(Ingham(), RhsSpec("power", -400.0), 1000)
 
 
 def test_delta_closed_hand_row(table_small):
@@ -359,6 +418,13 @@ def test_l0_three_smooth_hand_values():
     assert l0[20] == 10
     d = np.diff(l0)
     assert set(d.tolist()) <= {0, 1}
+
+
+def test_l0pow_exact_value_needs_the_l0_table():
+    rhs = RhsSpec("l0pow", 2.0)
+    assert rhs.value_exact(6, l0_three_smooth(6)) == Fraction(5, 36)
+    with pytest.raises(ValueError, match="L0 table"):
+        rhs.value_exact(6)
 
 
 def test_l0pow_custom_values_validated():
