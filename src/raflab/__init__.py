@@ -44,6 +44,7 @@ from .asymptotics import (
     IndexEstimate,
     fit_exponent,
     regime_check,
+    regime_scan,
     estimate_index,
     hlr_report,
     jordan_partial_check,

@@ -2,15 +2,19 @@
 regularity-index bracketing, bounded-coefficient (HLR) reports, and the
 Mertens / generalized-Jordan growth checks.
 
+regime_scan is the one route from a kernel and a beta grid to verdicts: per
+beta it solves the power RHS, takes partial sums at default_checkpoints and
+classifies them with regime_check.  estimate_index, `raf scan` and the
+regime claim all read their verdicts from it.
+
 The central numerical device is the envelope fit: partial sums A(x) of
 Mobius-flavoured series oscillate through zero, so raw log-log regression
-is undefined or noisy.  fit_exponent instead keeps the local peaks of
-|A(x_j)| (points that dominate a trailing or forward window of W
-checkpoints), restricts to the upper half of the checkpoint range where
-the asymptotic regime has set in, and runs OLS on log|A| vs log x.  On an
-exact power law every point is kept and the fit is exact; on an
-oscillating series the fit tracks the envelope, which is what an
-O(x^(-alpha+eps)) statement constrains.
+is undefined or noisy.  fit_exponent instead keeps, for each checkpoint
+x_j, the largest |A| over the trailing window x_j/ENV_SPAN <= x <= x_j,
+and runs OLS on log|A| vs log x over those points.  On an exact power law
+every point is kept and the fit is exact; on an oscillating series the fit
+tracks the envelope, which is what an O(x^(-alpha+eps)) statement
+constrains.
 """
 
 from __future__ import annotations
@@ -23,12 +27,18 @@ import numpy as np
 
 from .kernels import Kernel, UnsupportedKernelError
 from .mellin import PoleError, RegionError, closed_transform, zeta
-from .sieve import MobiusTable, sieve_spf_only
+from .sieve import MobiusTable, primes_upto
 from .solver import Coefficients, PartialSumSeries, RhsSpec, partial_sums, solve
 
 VERDICT_MATCH = "asymptotic_match"
 VERDICT_MISMATCH = "power_mismatch"
 VERDICT_DECAY = "bounded_decay"
+
+# The envelope's trailing window: x_j/ENV_SPAN <= x_i <= x_j.
+ENV_SPAN = 2.0
+
+# Bisections of the index bracket after the grid scan.
+INDEX_BISECTIONS = 6
 
 
 class DegenerateSeriesError(ValueError):
@@ -55,7 +65,6 @@ class Tolerances:
     slope_tol_high: float = 0.10
     const_tol: float = 0.05
     decay_slope_max: float = -0.35
-    env_span: float = 2.0
 
     def slope_tol(self, beta: float) -> float:
         if not math.isfinite(beta):
@@ -199,8 +208,8 @@ def _ols_loglog(xs: np.ndarray, vals: np.ndarray) -> Tuple[float, float]:
     return slope, stderr
 
 
-def fit_exponent(series: PartialSumSeries, which: str = "A") -> Tuple[float, float]:
-    """Envelope slope of |A| (or |A1|) against x, with its OLS stderr.
+def fit_exponent(series: PartialSumSeries) -> Tuple[float, float]:
+    """Envelope slope of |A| against x, with its OLS stderr.
 
     env_j is the running maximum of |value| restricted to the upper
     two-fold of the range covered so far (x_j/2 <= x_i <= x_j); the slope
@@ -208,15 +217,9 @@ def fit_exponent(series: PartialSumSeries, which: str = "A") -> Tuple[float, flo
     the envelope is an exact shifted copy, so the slope is exact; on
     sign-oscillating series it rides the crests.
     """
-    if which == "A":
-        vals = series.A
-    elif which == "A1":
-        vals = series.A1
-    else:
-        raise ValueError('which must be "A" or "A1"')
     if len(series.checkpoints) < 4:
         raise ValueError("need >= 4 checkpoints to fit")
-    xs, av = _envelope_points(series.checkpoints, vals, DEFAULT_TOL.env_span)
+    xs, av = _envelope_points(series.checkpoints, series.A, ENV_SPAN)
     if len(xs) < 3:
         raise DegenerateSeriesError(
             "fewer than 3 nonzero envelope points (all-zero or degenerate tail)"
@@ -258,7 +261,7 @@ def regime_check(
     else power_mismatch.  beta = inf (delta RHS) skips both beta-relative
     checks and classifies purely by decay.
     """
-    slope, stderr = fit_exponent(series, "A")
+    slope, stderr = fit_exponent(series)
     pred: Optional[complex] = None
     emp: Optional[float] = None
     applicable = False
@@ -295,10 +298,19 @@ def regime_check(
     )
 
 
-def _check_at(kernel: Kernel, beta: float, limit: int, tol: Tolerances) -> RegimeVerdict:
-    coeffs = solve(kernel, RhsSpec("power", beta), limit)
-    series = partial_sums(coeffs, default_checkpoints(limit))
-    return regime_check(series, beta, kernel, tol)
+def regime_scan(
+    kernel: Kernel,
+    betas: Sequence[float],
+    limit: int,
+    tol: Tolerances = DEFAULT_TOL,
+) -> Tuple[RegimeVerdict, ...]:
+    """The regime verdict of every beta: solve the power RHS to limit, take
+    partial sums at default_checkpoints(limit), then regime_check."""
+    cps = default_checkpoints(limit)
+    return tuple(
+        regime_check(partial_sums(solve(kernel, RhsSpec("power", b), limit), cps), b, kernel, tol)
+        for b in betas
+    )
 
 
 def estimate_index(
@@ -306,10 +318,10 @@ def estimate_index(
     beta_grid: Sequence[float],
     limit: int,
     tol: Tolerances = DEFAULT_TOL,
-    max_bisections: int = 6,
 ) -> IndexEstimate:
     """Bracket the regularity index: scan the grid for the first beta whose
-    series stops matching x^-beta / G*(beta), then bisect the bracket.
+    series stops matching x^-beta / G*(beta), then bisect the bracket
+    INDEX_BISECTIONS times.
 
     alpha_hat is the midpoint of the refined bracket.  Raises
     BracketFailureError when the whole grid matches (index above grid) or
@@ -320,13 +332,8 @@ def estimate_index(
         raise ValueError("grid needs >= 3 points")
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly ascending")
-    verdicts: List[RegimeVerdict] = []
-    first_miss: Optional[int] = None
-    for i, b in enumerate(grid):
-        v = _check_at(kernel, b, limit, tol)
-        verdicts.append(v)
-        if v.verdict != VERDICT_MATCH and first_miss is None:
-            first_miss = i
+    verdicts = regime_scan(kernel, grid, limit, tol)
+    first_miss = next((i for i, v in enumerate(verdicts) if v.verdict != VERDICT_MATCH), None)
     if first_miss is None:
         raise BracketFailureError(
             "all grid points match: index lies above %g" % grid[-1], grid[-1]
@@ -337,22 +344,20 @@ def estimate_index(
         )
     lo = grid[first_miss - 1]
     hi = grid[first_miss]
-    steps = 0
-    for _ in range(max_bisections):
+    for _ in range(INDEX_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        v = _check_at(kernel, mid, limit, tol)
-        steps += 1
+        (v,) = regime_scan(kernel, [mid], limit, tol)
         if v.verdict == VERDICT_MATCH:
             lo = mid
         else:
             hi = mid
     return IndexEstimate(
         alpha_hat=0.5 * (lo + hi),
-        grid=tuple(verdicts),
+        grid=verdicts,
         beta_lo=lo,
         beta_hi=hi,
         tolerances=tol,
-        bisections=steps,
+        bisections=INDEX_BISECTIONS,
     )
 
 
@@ -385,9 +390,7 @@ def hlr_report(coeffs: Coefficients) -> HLRReport:
             growth = 0.0
         else:
             growth, _ = _ols_loglog(cps[pos].astype(np.float64), vals[pos])
-    spf = sieve_spf_only(limit)
-    primes = np.nonzero(spf[2 : limit + 1] == np.arange(2, limit + 1))[0] + 2
-    tail = primes[-100:]
+    tail = primes_upto(limit)[-100:]
     tail_mean = float(np.mean(na[tail])) if len(tail) else 0.0
     return HLRReport(
         sup_abs=sup_abs,
@@ -411,14 +414,10 @@ def jordan_sum(table: MobiusTable, beta: float, x: int) -> float:
     return float(np.sum(ks ** (-beta) * table.mertens[x // ks]))
 
 
-def jordan_partial_check(
-    table: MobiusTable,
-    beta: float,
-    limit: int,
-    checkpoints: Optional[Sequence[int]] = None,
-) -> JordanReport:
+def jordan_partial_check(table: MobiusTable, beta: float, limit: int) -> JordanReport:
     """Growth of sum_{n<=x} J_(-beta)(n) against the main term
-    x^(1-beta)/((1-beta) zeta(1-beta)), for 0 < beta < 1/2.
+    x^(1-beta)/((1-beta) zeta(1-beta)), for 0 < beta < 1/2, at the
+    default_checkpoints(limit).
 
     Fits the envelope exponent (expect 1-beta) and compares the top-quartile
     mean of S(x)/x^(1-beta) with the predicted constant — which is negative
@@ -428,14 +427,10 @@ def jordan_partial_check(
         raise ValueError("beta must lie in (0, 1/2); the rest is regime territory")
     if limit > table.limit:
         raise ValueError("limit exceeds table limit")
-    cps = (
-        default_checkpoints(limit)
-        if checkpoints is None
-        else np.asarray(list(checkpoints), dtype=np.int64)
-    )
+    cps = default_checkpoints(limit)
     vals = np.array([jordan_sum(table, beta, int(x)) for x in cps])
     series = PartialSumSeries(checkpoints=cps, A=vals, A1=vals, provenance="jordan:%g" % beta)
-    slope, stderr = fit_exponent(series, "A")
+    slope, stderr = fit_exponent(series)
     pred = 1.0 / ((1.0 - beta) * zeta(complex(1.0 - beta)).real)
     q = max(1, len(cps) // 4)
     emp = float(np.mean(vals[-q:] / cps[-q:].astype(np.float64) ** (1.0 - beta)))

@@ -25,12 +25,11 @@ from .asymptotics import (
     DEFAULT_TOL,
     VERDICT_MATCH,
     Tolerances,
-    default_checkpoints,
     estimate_index,
     hlr_report,
     jordan_partial_check,
     mertens_ratio_report,
-    regime_check,
+    regime_scan,
 )
 from .counting import (
     CountSpec,
@@ -58,7 +57,6 @@ from .solver import (
     delta_coeff_closed,
     ingham_coeff_closed,
     l0_three_smooth,
-    partial_sums,
     partial_sums_exact,
     solve,
 )
@@ -221,26 +219,21 @@ def _scaled_transform() -> Tuple[bool, str]:
 
 
 def _regime_suite() -> Tuple[bool, str]:
+    # beta = -1, 0.25 must match x^-beta/G*(beta) within 5%; beta = 0.75,
+    # 1, 2 must decay at slope <= -0.35
     t0 = time.monotonic()
-    cps = default_checkpoints(1_000_000)
-    k = Ingham()
     ok = True
     parts = []
-    for b in (-1.0, 0.25):
-        v = regime_check(
-            partial_sums(solve(k, RhsSpec("power", b), 1_000_000), cps), b, k
-        )
-        rel = abs(v.empirical_constant - v.predicted_constant) / abs(
-            v.predicted_constant
-        )
-        ok = ok and v.verdict == VERDICT_MATCH and rel <= 0.05
-        parts.append("b=%g %s rel %.3f" % (b, v.verdict, rel))
-    for b in (0.75, 1.0, 2.0):
-        v = regime_check(
-            partial_sums(solve(k, RhsSpec("power", b), 1_000_000), cps), b, k
-        )
-        ok = ok and v.fitted_slope <= -0.35
-        parts.append("b=%g slope %.2f" % (b, v.fitted_slope))
+    for v in regime_scan(Ingham(), (-1.0, 0.25, 0.75, 1.0, 2.0), 1_000_000):
+        if v.beta < 0.5:
+            rel = abs(v.empirical_constant - v.predicted_constant) / abs(
+                v.predicted_constant
+            )
+            ok = ok and v.verdict == VERDICT_MATCH and rel <= 0.05
+            parts.append("b=%g %s rel %.3f" % (v.beta, v.verdict, rel))
+        else:
+            ok = ok and v.fitted_slope <= -0.35
+            parts.append("b=%g slope %.2f" % (v.beta, v.fitted_slope))
     dt = time.monotonic() - t0
     return (
         ok and dt <= 120.0,

@@ -46,12 +46,11 @@ from . import __version__, claims
 from .asymptotics import (
     BracketFailureError,
     Tolerances,
-    default_checkpoints,
     estimate_index,
     hlr_report,
     jordan_partial_check,
     mertens_ratio_report,
-    regime_check,
+    regime_scan,
 )
 from .counting import count_formula, count_oracle, parse_count_what
 from .kernels import (
@@ -77,7 +76,6 @@ from .solver import (
     SingularKernelError,
     VerificationError,
     parse_rhs,
-    partial_sums,
     solve,
 )
 
@@ -315,13 +313,8 @@ def _verdict_row(v) -> Tuple[str, ...]:
 
 def _cmd_scan(args: argparse.Namespace) -> Result:
     kernel = parse_kernel(args.kernel)
-    betas = _parse_betas(args.betas)
     tol = _tol_from(args)
-    rows = []
-    for b in betas:
-        coeffs = solve(kernel, RhsSpec("power", b), args.n)
-        series = partial_sums(coeffs, default_checkpoints(args.n))
-        rows.append(_verdict_row(regime_check(series, b, kernel, tol)))
+    rows = [_verdict_row(v) for v in regime_scan(kernel, _parse_betas(args.betas), args.n, tol)]
     return Result(
         doc=[dict(zip(_SCAN_HEADER, r)) for r in rows],
         text="\n".join(",".join(r) for r in [_SCAN_HEADER] + rows),

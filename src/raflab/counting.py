@@ -141,18 +141,6 @@ def _iroot(n: int, p: int) -> int:
     return r
 
 
-def _ilog(n: int, p: int) -> int:
-    """floor(log_p n) by repeated multiplication (exact)."""
-    if p == 2:
-        return n.bit_length() - 1
-    e = 0
-    v = p
-    while v <= n:
-        v *= p
-        e += 1
-    return e
-
-
 # --------------------------------------------------------------------------
 # formula side
 # --------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Sieved arithmetic tables: Mobius, Mertens, smallest prime factor, totient.
+"""Sieved arithmetic tables: Mobius, Mertens, primes, totient.
 
 Provides:
 - sieve(limit)         -> MobiusTable (mu and its Mertens prefix sums)
-- sieve_spf_only(limit) -> smallest prime factor of every n <= limit
+- primes_upto(limit)   -> the primes <= limit, ascending
 - totient_table(limit) -> Euler phi for all n <= limit
 - save_cache / load_cache -> binary mu cache ("RAFSIEVE1" format); a load
   validates the whole file and keeps the prefix up to a requested limit
@@ -59,7 +59,7 @@ def sieve(limit: int) -> MobiusTable:
     """Build the MobiusTable for 1..limit.
 
     Eratosthenes-style and vectorized over the primes p <= sqrt(limit),
-    which come from sieve_spf_only(isqrt(limit)): mu comes from a signed
+    which come from primes_upto(isqrt(limit)): mu comes from a signed
     product array (multiply val[p::p] by -p, zero out val[p^2::p^2], then
     compare |val[n]| against n to detect one leftover prime factor
     > sqrt(limit)).
@@ -82,9 +82,8 @@ def sieve(limit: int) -> MobiusTable:
 
     n = limit
     root = math.isqrt(n)
-    small = np.arange(2, root + 1)
     val = np.ones(n + 1, dtype=np.int64)
-    for p in small[sieve_spf_only(root)[2:] == small].tolist():
+    for p in primes_upto(root).tolist():
         val[p::p] *= -p
         val[p * p :: p * p] = 0
     # mu = sign(val), 0 where a square divides n; |val[n]| < n means exactly
@@ -178,27 +177,18 @@ def load_cache(path: str, limit: Optional[int] = None) -> MobiusTable:
     return MobiusTable(limit=keep, mu=mu, mertens=_mertens(mu))
 
 
-def sieve_spf_only(limit: int) -> np.ndarray:
-    """Smallest prime factor of 0..limit (spf[1] = 1), int64.
+def primes_upto(limit: int) -> np.ndarray:
+    """The primes p <= limit, ascending, int64 (empty below 2).
 
-    sieve() reads its primes <= sqrt(N) off sieve_spf_only(isqrt(N)).
+    A boolean Eratosthenes sieve: each p <= sqrt(limit) still marked prime
+    strikes p^2, p^2 + p, ... .
     """
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    if limit >= 1:
-        spf[1] = 1
-    # Mark composites: when p is processed, every m in [p^2, N] step p with
-    # spf[m] still unset has smallest prime factor exactly p.
-    p = 2
-    while p * p <= limit:
-        if spf[p] == 0:
-            spf[p] = p
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-        p += 1
-    # Everything still unset at index >= 2 is a prime > sqrt(N).
-    rest = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[rest] = rest
-    return spf
+    is_prime = np.ones(max(limit + 1, 2), dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime[: limit + 1])
 
 
 def divisor_pass(target: np.ndarray, weights: np.ndarray, sign: int, mult=None) -> None:

@@ -1,8 +1,8 @@
 """Triangular-recurrence solver for sum_{k<=n} a_k G(n,k) = R(n), a_1 = 1.
 
-Right-hand sides: R(n) = n^-beta ("power"), the delta sequence (1,0,0,...)
-— the beta = infinity limit — and n^-beta * L0(n) for a slowly varying
-integer-valued L0 ("l0pow", default L0 = 3-smooth counting function).
+Right-hand sides (RhsSpec): R(n) = n^-beta ("power"), the delta sequence
+(1,0,0,...) — the beta = infinity limit — and n^-beta * L0(n) with L0 the
+3-smooth counting function ("l0pow").
 
 solve() picks its path from what the kernel declares, never from the
 kernel's class, in this order:
@@ -86,14 +86,12 @@ class RhsSpec:
     """Right-hand side description.
 
     kind: "power" (R(n) = n^-beta), "delta" (R = 1,0,0,...; beta = inf),
-    or "l0pow" (R(n) = n^-beta * L0(n)).  For l0pow, l0_values may carry a
-    custom non-decreasing integer sequence indexed 0..N; None means the
-    3-smooth counting function, filled in at solve time.
+    or "l0pow" (R(n) = n^-beta * L0(n), L0 the 3-smooth counting function
+    l0_three_smooth, filled in at solve time).
     """
 
     kind: str
     beta: float = 0.0
-    l0_values: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("power", "delta", "l0pow"):
@@ -238,7 +236,9 @@ def solve(
     kernel.eval_row calls otherwise.  force_generic always builds rows with
     eval_row, so it stays the reference for every faster path.  The
     post-solve residual check evaluates the kernel with eval_row, never from
-    h.  The exact backend needs u = delta (the x*floor(1/x) kernel).
+    h, at n = limit, or on the whole verify_residuals sample after a
+    generic solve.  The exact backend needs u = delta (the x*floor(1/x)
+    kernel).
 
     Raises:
         SingularKernelError: G(n,n) = 0 for some n (u_1 = 0 on the divisor
@@ -264,6 +264,7 @@ def solve(
                 "exact backend needs rational RHS values (delta or integer beta >= 0), "
                 "got %s" % rhs.label
             )
+        generic = False
         b = _exact_s(rhs, limit)
         _divisor_solve(b, u)  # b_m = m a_m
         values = [Fraction(0)] * (limit + 1)
@@ -291,22 +292,12 @@ def solve(
         raise ValueError("backend must be 'exact' or 'float', got %r" % (backend,))
 
     coeffs = Coefficients(kernel=kernel, rhs=rhs, limit=limit, backend=backend, values=values)
-    _spot_check(coeffs)
+    _spot_check(coeffs, generic)
     return coeffs
 
 
 def _rhs_l0(rhs: RhsSpec, limit: int) -> Optional[np.ndarray]:
-    if rhs.kind != "l0pow":
-        return None
-    if rhs.l0_values is not None:
-        l0 = np.asarray(rhs.l0_values, dtype=np.int64)
-        if len(l0) < limit + 1:
-            raise ValueError("l0_values shorter than limit+1")
-        d = np.diff(l0[1:])
-        if np.any(d < 0):
-            raise ValueError("L0 must be non-decreasing")
-        return l0
-    return l0_three_smooth(limit)
+    return l0_three_smooth(limit) if rhs.kind == "l0pow" else None
 
 
 def _divisor_solve(s: np.ndarray, u: np.ndarray) -> None:
@@ -412,8 +403,10 @@ def _solve_generic_float(
     return a
 
 
-def _spot_check(coeffs: Coefficients) -> None:
-    """Cheap post-solve checks: a_1, and the residual at n = limit.
+def _spot_check(coeffs: Coefficients, generic: bool) -> None:
+    """Post-solve checks: a_1, then verify_residuals at n = limit, or on its
+    default sample after a generic solve, which builds each row on its own,
+    so a wrong row below the last one can occur there.
 
     Raises:
         VerificationError: either check fails (a NaN residual fails too).
@@ -424,16 +417,11 @@ def _spot_check(coeffs: Coefficients) -> None:
             raise VerificationError("a_1 != 1 on exact backend")
     elif g11 == 1.0 and not abs(coeffs.values[1] - 1.0) < 1e-12:
         raise VerificationError("a_1 = %g, expected 1" % coeffs.values[1])
-    n = coeffs.limit
-    l0, rfl = _residual_rhs(coeffs)
-    res = _residual(coeffs, n, l0, rfl)
-    if coeffs.backend == "exact":
-        if res != 0:
-            raise VerificationError("nonzero exact residual at n=%d" % n)
-    else:
-        tol = 1e-9 * max(1.0, abs(rfl[n])) * n
-        if not abs(res) <= tol:
-            raise VerificationError("residual %g at n=%d exceeds %g" % (res, n, tol))
+    worst = verify_residuals(coeffs, None if generic else [coeffs.limit])
+    if not worst <= 1.0:
+        raise VerificationError(
+            "post-solve residual check: worst |residual|/tolerance %g" % worst
+        )
 
 
 def _residual_rhs(coeffs: Coefficients):
@@ -470,9 +458,11 @@ def residual(coeffs: Coefficients, n: int):
 
 def verify_residuals(coeffs: Coefficients, ns: Optional[Sequence[int]] = None) -> float:
     """Check the residual invariant on a set of n; returns the worst |residual|
-    relative to its tolerance (<= 1 means pass; exact backend returns 0.0).
+    relative to its tolerance 1e-9*max(1,|R(n)|)*n (<= 1 means pass; a NaN
+    residual or a nonzero exact one gives inf, a passing exact run 0.0).
 
-    Default sample: all n <= 64, then a geometric sweep up to the limit.
+    Default sample: all n <= 64, then a geometric sweep (ratio 1.5) up to
+    the limit.
     """
     if ns is None:
         ns = sorted(
@@ -488,8 +478,10 @@ def verify_residuals(coeffs: Coefficients, ns: Optional[Sequence[int]] = None) -
             if res != 0:
                 return math.inf
             continue
-        tol = 1e-9 * max(1.0, abs(rfl[n])) * n
-        worst = max(worst, abs(res) / tol)
+        ratio = abs(res) / (1e-9 * max(1.0, abs(rfl[n])) * n)
+        if math.isnan(ratio):
+            return math.inf
+        worst = max(worst, ratio)
     return worst
 
 

@@ -74,16 +74,6 @@ def test_fit_rides_oscillation_crests():
     assert stderr < 0.05
 
 
-def test_fit_uses_a1_column():
-    cps = default_checkpoints(100_000)
-    xs = cps.astype(np.float64)
-    s = PartialSumSeries(cps, xs**-0.25, xs**0.75)
-    assert fit_exponent(s, "A")[0] == pytest.approx(-0.25, abs=1e-12)
-    assert fit_exponent(s, "A1")[0] == pytest.approx(0.75, abs=1e-12)
-    with pytest.raises(ValueError):
-        fit_exponent(s, "B")
-
-
 def test_fit_degenerate_and_short():
     with pytest.raises(DegenerateSeriesError):
         fit_exponent(_series(1_000_000, lambda x: np.zeros_like(x)))

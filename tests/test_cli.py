@@ -7,6 +7,7 @@ with capsys so we can check the printed values, not just exit codes.
 import ast
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -340,6 +341,18 @@ def test_index_bracket_failure_exits_one(capsys):
     assert "bracket failure" in err
 
 
+def test_index_grid_rows_are_the_scan_rows(capsys, tmp_path):
+    # both read their verdicts from asymptotics.regime_scan
+    paths = [tmp_path / "scan.csv", tmp_path / "index.csv"]
+    for argv, path in zip((["scan", "--betas"], ["index", "--grid"]), paths):
+        rc, _, _ = run(capsys, argv + ["0.1:0.9:0.2", "--kernel", "ingham", "--n", "20000",
+                                       "--out", str(path)])
+        assert rc == 0
+    scan, index = (p.read_bytes() for p in paths)
+    assert len(scan.splitlines()) == 6  # header and betas 0.1, 0.3, ..., 0.9
+    assert index == scan
+
+
 # ----------------------------------------------------------------------- zeros
 
 
@@ -466,14 +479,27 @@ def test_verify_reports_false_and_raising_claims(capsys, monkeypatch):
     assert [c["ok"] for c in doc["checks"]] == [False, False] + [True] * (len(exact) - 2)
 
 
-def test_acceptance_gate_runs_each_claim_once():
-    # every test_criterion_NN_<slug> gates the claim "criterion-NN <slug>",
-    # and the gate holds one test per registry entry, in registry order
-    with open(os.path.join(_TESTS, "test_acceptance.py")) as fh:
-        gated = re.findall(r'def (test_criterion_\w+)\(\):\n    _gate\("([^"]+)"\)', fh.read())
-    assert [name for _, name in gated] == [c.name for c in claims.CLAIMS]
-    for test, name in gated:
-        assert test == "test_" + re.sub(r"[- ]", "_", name)
+def test_acceptance_gate_runs_each_claim_once(capsys, monkeypatch):
+    # the gate is built from the registry: one test per claim, in registry
+    # order, and the test of "criterion-NN <slug>" is test_criterion_NN_<slug>
+    # and runs that claim's check
+    registry = claims.CLAIMS
+    monkeypatch.setattr(claims, "CLAIMS", tuple(
+        dataclasses.replace(c, check=lambda name=c.name: (True, "stub " + name))
+        for c in registry
+    ))
+    spec = importlib.util.spec_from_file_location(
+        "acceptance_gate", os.path.join(_TESTS, "test_acceptance.py"))
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    tests = [(name, fn) for name, fn in vars(gate).items() if name.startswith("test")]
+    assert [name for name, _ in tests] == [
+        "test_" + re.sub(r"[- ]", "_", c.name) for c in registry]
+    capsys.readouterr()
+    for _, test in tests:
+        test()
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS %s: stub %s" % (c.name, c.name) for c in registry]
 
 
 # ------------------------------------------------------- one output path

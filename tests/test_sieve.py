@@ -15,9 +15,9 @@ from raflab.sieve import (
     MAX_SIEVE_LIMIT,
     divisor_pass,
     load_cache,
+    primes_upto,
     save_cache,
     sieve,
-    sieve_spf_only,
     totient_table,
 )
 
@@ -103,13 +103,11 @@ def test_mobius_sum_over_divisors(table_100k, n):
     assert sum(int(table_100k.mu[d]) for d in divs) == 0
 
 
-def test_spf_is_smallest_prime_factor():
-    spf = sieve_spf_only(1000)
-    for n in range(2, 1001):
-        p = int(spf[n])
-        assert n % p == 0
-        for q in range(2, p):
-            assert n % q != 0
+def test_primes_upto_matches_trial_division():
+    for limit in (0, 1, 2, 3, 4, 1000):
+        want = [n for n in range(2, limit + 1)
+                if all(n % q for q in range(2, math.isqrt(n) + 1))]
+        assert primes_upto(limit).tolist() == want
 
 
 def test_totient_table():

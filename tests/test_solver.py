@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -199,11 +200,14 @@ def test_residual_checks_do_not_read_the_hankel_table(monkeypatch):
     _nudged_hankel(monkeypatch, lambda limit: limit + 1)
     with pytest.raises(VerificationError):
         solve(kern, rhs, 100)
-    # G(50,1) = h[51] is only in row 50: the spot check at n = 100 passes,
-    # verify_residuals (all n <= 64) does not
-    monkeypatch.undo()
-    _nudged_hankel(monkeypatch, lambda limit: limit // 2 + 1)
-    assert verify_residuals(solve(kern, rhs, 100)) > 1.0
+    # h[51] sits only in rows 26..50 and h[325] in rows 163..324, below the
+    # last: the generic spot check samples every n <= 64, and n = 324 in its
+    # 1.5-fold sweep above
+    for limit, m in ((100, 51), (1000, 325)):
+        monkeypatch.undo()
+        _nudged_hankel(monkeypatch, lambda _: m)
+        with pytest.raises(VerificationError):
+            solve(kern, rhs, limit)
 
 
 def test_singular_kernel():
@@ -344,6 +348,13 @@ def test_verify_residuals_matches_public_residual(kern, rhs, limit):
         abs(residual(c, n)) / (1e-9 * max(1.0, abs(r[n])) * n) for n in (limit, 7))
 
 
+def test_verify_residuals_fails_a_nan_residual():
+    c = solve(Ingham(), RhsSpec("power", 0.5), 100)
+    a = c.values.copy()
+    a[70] = math.nan  # only the residuals at n >= 70 see it
+    assert verify_residuals(dataclasses.replace(c, values=a)) == math.inf
+
+
 def test_residual_exact_is_zero():
     c = solve(Ingham(), RhsSpec("power", 1.0), 120, backend="exact")
     assert residual(c, 120) == 0
@@ -425,14 +436,3 @@ def test_l0pow_exact_value_needs_the_l0_table():
     assert rhs.value_exact(6, l0_three_smooth(6)) == Fraction(5, 36)
     with pytest.raises(ValueError, match="L0 table"):
         rhs.value_exact(6)
-
-
-def test_l0pow_custom_values_validated():
-    good = tuple(int(v) for v in l0_three_smooth(100))
-    solve(Ingham(), RhsSpec("l0pow", 1.0, l0_values=good), 100)
-    with pytest.raises(ValueError):
-        solve(Ingham(), RhsSpec("l0pow", 1.0, l0_values=good[:50]), 100)
-    bad = list(good)
-    bad[60] = bad[59] - 1
-    with pytest.raises(ValueError):
-        solve(Ingham(), RhsSpec("l0pow", 1.0, l0_values=tuple(bad)), 100)
