@@ -107,12 +107,12 @@ def _parse_betas(text: str) -> List[float]:
             return [float(parts[0])]
         if len(parts) == 3:
             lo, hi, step = (float(p) for p in parts)
-            if step <= 0 or hi < lo:
+            if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
                 raise ValueError
             count = int(round((hi - lo) / step))
             vals = [lo + i * step for i in range(count + 1)]
             return [v for v in vals if v <= hi + 1e-12]
-    except ValueError:
+    except (ValueError, OverflowError):  # (hi - lo) / step can overflow
         pass
     raise UsageError('bad range %r: use "<lo>:<hi>:<step>"' % (text,))
 

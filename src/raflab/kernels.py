@@ -270,8 +270,8 @@ class Disc(Kernel):
     is_fgv = True
 
     def __post_init__(self) -> None:
-        if not (self.lam > 1.0):
-            raise KernelDomainError("disc needs lam > 1, got %r" % (self.lam,))
+        if not (1.0 < self.lam < math.inf):
+            raise KernelDomainError("disc needs a finite lam > 1, got %r" % (self.lam,))
 
     @property
     def unproven_index(self) -> bool:  # type: ignore[override]
@@ -326,8 +326,8 @@ class RationalRaf(Kernel):
     def __post_init__(self) -> None:
         if self.x == self.y:
             raise KernelDomainError("rational kernel needs x != y")
-        if not (self.x > 0.0 and self.y > 0.0):
-            raise KernelDomainError("rational kernel needs x > 0 and y > 0")
+        if not (0.0 < self.x < math.inf and 0.0 < self.y < math.inf):
+            raise KernelDomainError("rational kernel needs finite x > 0 and y > 0")
 
     def eval(self, n: int, k: int) -> float:
         self._check(n, k)
@@ -370,6 +370,9 @@ class GeneralizedIngham(Kernel):
         if len(self.weights) == 0:
             raise KernelDomainError("generalized kernel needs >= 1 weight")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if not all(map(math.isfinite, self.weights)):
+            raise KernelDomainError("generalized kernel needs finite weights, got %r"
+                                    % (self.weights,))
 
     def eval(self, n: int, k: int) -> float:
         self._check(n, k)

@@ -388,8 +388,8 @@ def phi_f_zeros(q: int, im_range: Tuple[float, float]) -> List[complex]:
         raise ValueError("q must be an integer >= 2")
     q = int(q)
     t_lo, t_hi = float(im_range[0]), float(im_range[1])
-    if not (t_lo < t_hi):
-        raise ValueError("need t_lo < t_hi")
+    if not (-math.inf < t_lo < t_hi < math.inf):
+        raise ValueError("need finite t_lo < t_hi, got %r" % ((t_lo, t_hi),))
     lnq = math.log(q)
     period = 2.0 * math.pi / lnq
     kernel = Scaled(Ingham(), FSpec("exp_plus_one", q=q))

@@ -3,12 +3,14 @@
 Provides:
 - sieve(limit)         -> MobiusTable (mu and its Mertens prefix sums)
 - primes_upto(limit)   -> the primes <= limit, ascending
-- totient_table(limit) -> Euler phi for all n <= limit
+- totient_table(limit) -> Euler phi for all n <= limit (one divisor_pass)
 - save_cache / load_cache -> binary mu cache ("RAFSIEVE1" format); a load
   validates the whole file and keeps the prefix up to a requested limit
 - divisor_pass(target, weights, sign, mult) -> target[i*d] += sign*mult[i]*weights[d]
   for d ascending: sum_{k<=n} w_k floor(n/k) forwards, or its in-place
-  inverse (with mult, the inverse of b -> v * b)
+  inverse (with mult, the inverse of b -> v * b).  It is the one loop over
+  multiples: the solver's divisor path, disc's Dirichlet weights, the
+  floor-sum counts, the Ingham closed form and totient_table all call it.
 
 The table is immutable after construction and safe to share read-only
 across workers; sieving itself is single-threaded.
@@ -105,8 +107,9 @@ def _mertens(mu: np.ndarray) -> np.ndarray:
 def totient_table(limit: int) -> np.ndarray:
     """phi(n) for n = 0..limit (phi[0] = 0), int64.
 
-    Uses phi(n) = n * prod_{p|n} (1 - 1/p): start from identity and fold in
-    every prime once; the integer divisions are exact in this order.
+    Inverts sum_{d|n} phi(d) = n in place: divisor_pass(phi, phi, -1) turns
+    phi = n into phi(n) = n - sum_{d|n, d<n} phi(d).  No mu is read, so
+    phi stays a Mobius-free oracle.
     """
     if limit < 1:
         raise CapacityError("totient limit must be >= 1, got %r" % (limit,))
@@ -115,12 +118,7 @@ def totient_table(limit: int) -> np.ndarray:
             "totient limit %d exceeds memory budget (max %d)" % (limit, MAX_SIEVE_LIMIT)
         )
     phi = np.arange(limit + 1, dtype=np.int64)
-    is_comp = np.zeros(limit + 1, dtype=bool)
-    for p in range(2, limit + 1):
-        if not is_comp[p]:
-            phi[p::p] -= phi[p::p] // p
-            is_comp[p * p :: p] = True
-    phi[0] = 0
+    divisor_pass(phi, phi, -1)
     return phi
 
 

@@ -36,6 +36,12 @@ n*G(n,k)/k = lam^floor(log_lam floor(n/k)) = sum_{m<=n/k} w(m) with
 w = delta_1 + sum_{i>=1} (lam^i - lam^(i-1)) delta_{lam^i}, so 1 * u = w
 and u = mu * w.
 
+The Ingham closed form (ingham_coeff_closed) reaches the same solutions
+forwards: n*a_n = (mu * t)(n) with t(d) = d^(1-beta) - (d-1)^(1-beta), one
+divisor_pass(out, mu, +1, t) plus the m = 1 term mu(n).  It reads the
+sieve's mu where the divisor path inverts in place, so the two stay
+independent routes to the same numbers.
+
 Separable-path recurrence: when G(n,k) = sum_i P[i,n] Q[i,k] (i = 0, 1),
 the row sum over k < n is sum_i P[i,n] S_i(n) with the running sums
 S_i(n) = sum_{k<n} a_k Q[i,k], so
@@ -47,6 +53,7 @@ and each step updates S_i by a_n Q[i,n].
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,10 +66,6 @@ from .sieve import MobiusTable, divisor_pass
 
 # Largest N the generic O(N^2) forward substitution accepts.
 GENERIC_CAP = 20_000
-
-# ingham_coeff_closed takes one strided slice per squarefree j up to
-# N // CLOSED_FORM_SPLIT, and one per multiplier m for the larger j.
-CLOSED_FORM_SPLIT = 64
 
 
 class SingularKernelError(ZeroDivisionError):
@@ -500,74 +503,49 @@ def ingham_coeff_closed(
     every beta: x^0 := 1 for x > 0 and 0^(1-beta) := 0, which reproduces
     both the beta=1 row n*a_n = mu(n) and the beta=0 row [n=1].)
 
-    Computed by accumulating mu(j)*t(m) into index j*m.  exact=True
-    (integer beta only) loops over squarefree j and returns Fractions.  The
-    float64 default runs in two phases.  Phase 1 adds, for each squarefree
-    j <= J0 = N // CLOSED_FORM_SPLIT, mu(j)*t(1..N/j) to the multiples of j
-    as one strided slice.  Phase 2 covers every j > J0 with one strided
-    slice per multiplier m (fewer than CLOSED_FORM_SPLIT of them, as
-    j*m <= N): mu(J0+1..N/m)*t(m) into indices (J0+1)*m..(N/m)*m.  For a
-    fixed target k = j*m a smaller m is a larger j, so running m from
-    N // (J0+1) down to 1 delivers the j > J0 terms of out[k] in ascending
-    j, after the phase-1 terms: the same summation order as one pass over
-    every squarefree j, hence bit-identical floats.
+    One sieve.divisor_pass(out, mu, +1, t) adds mu(j)*t(m) into index j*m
+    for every m >= 2, j ascending; the m = 1 term mu(n) is added last.  Per
+    n that is the summation order of one pass over every squarefree j, so
+    the float64 default is bit-identical to that loop.  The float pass reads
+    the sieve's int8 mu as it is; exact=True (integer beta only) runs the
+    same pass on object arrays of ints and Fractions and returns Fractions.
 
     Raises:
-        ValueError: limit past the table, a non-finite beta, or a t(n) that
-            is not finite (d^(1-beta) overflows for beta far below 0).
+        ValueError: limit < 1 or past the table, a non-finite beta, or a
+            t(n) that is not finite (d^(1-beta) overflows for beta far
+            below 0).
     """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     if limit > table.limit:
         raise ValueError("limit %d exceeds table limit %d" % (limit, table.limit))
     if not math.isfinite(beta):
         raise ValueError("beta must be finite (use delta_coeff_closed for the limit case)")
-    mu = table.mu
+    mu = table.mu[: limit + 1]
     if exact:
         if float(beta) != int(beta):
             raise BackendMismatchError("exact closed form needs integer beta")
         bi = int(beta)
-        t: list = [0] * (limit + 1)
-        t[1] = 1
-        for d in range(2, limit + 1):
-            if bi == 0:
-                t[d] = 1
-            elif bi == 1:
-                t[d] = 0
-            else:
-                t[d] = Fraction(1, d ** (bi - 1)) - Fraction(1, (d - 1) ** (bi - 1))
-        out: list = [Fraction(0)] * (limit + 1)
-        for j in range(1, limit + 1):
-            m = int(mu[j])
-            if m == 0:
-                continue
-            for mult in range(1, limit // j + 1):
-                tv = t[mult]
-                if tv:
-                    out[j * mult] += m * tv
-        return [v if isinstance(v, Fraction) else Fraction(v) for v in out]
-
-    d = np.arange(limit + 1, dtype=np.float64)
-    t_arr = np.zeros(limit + 1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_arr[2:] = d[2:] ** (1.0 - beta) - d[1:-1] ** (1.0 - beta)
-    t_arr[1] = 1.0
-    bad = np.flatnonzero(~np.isfinite(t_arr[1:]))
-    if len(bad):
-        raise ValueError("beta %g: t(n) is not finite at n=%d" % (beta, bad[0] + 1))
-    out_arr = np.zeros(limit + 1, dtype=np.float64)
-    j0 = limit // CLOSED_FORM_SPLIT
-    for j in range(1, j0 + 1):
-        sign = int(mu[j])
-        if sign == 0:
-            continue
-        ln = limit // j
-        if sign == 1:
-            out_arr[j :: j][: ln] += t_arr[1 : ln + 1]
-        else:
-            out_arr[j :: j][: ln] -= t_arr[1 : ln + 1]
-    for m in range(limit // (j0 + 1), 0, -1):
-        hi = limit // m
-        out_arr[(j0 + 1) * m : hi * m + 1 : m] += mu[j0 + 1 : hi + 1] * t_arr[m]
-    return out_arr
+        mu = mu.astype(object)  # Python ints
+        t = np.zeros(limit + 1, dtype=object)
+        t[2:] = [
+            d ** (1 - bi) - (d - 1) ** (1 - bi) if bi <= 1
+            else Fraction(1, d ** (bi - 1)) - Fraction(1, (d - 1) ** (bi - 1))
+            for d in range(2, limit + 1)
+        ]
+        out = np.zeros(limit + 1, dtype=object)
+    else:
+        d = np.arange(limit + 1, dtype=np.float64)
+        t = np.zeros(limit + 1, dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t[2:] = d[2:] ** (1.0 - beta) - d[1:-1] ** (1.0 - beta)
+        bad = np.flatnonzero(~np.isfinite(t[2:]))
+        if len(bad):
+            raise ValueError("beta %g: t(n) is not finite at n=%d" % (beta, bad[0] + 2))
+        out = np.zeros(limit + 1, dtype=np.float64)
+    divisor_pass(out, mu, 1, t)
+    out += mu
+    return [Fraction(v) for v in out] if exact else out
 
 
 def delta_coeff_closed(table: MobiusTable, limit: int) -> np.ndarray:
@@ -587,13 +565,22 @@ def delta_coeff_closed(table: MobiusTable, limit: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def partial_sums(coeffs: Coefficients, checkpoints: Sequence[int]) -> PartialSumSeries:
-    """A(x) and A1(x) at the given ascending checkpoints (one cumulative pass)."""
-    if len(checkpoints) == 0:
-        raise ValueError("empty checkpoint list")
+def _checkpoint_array(coeffs: Coefficients, checkpoints: Sequence[int]) -> np.ndarray:
+    """checkpoints as int64, refused unless non-empty, strictly increasing
+    and inside [1, limit]."""
     cps = np.asarray(list(checkpoints), dtype=np.int64)
+    if len(cps) == 0:
+        raise ValueError("empty checkpoint list")
+    if np.any(np.diff(cps) <= 0):
+        raise ValueError("checkpoints must be strictly increasing")
     if cps[0] < 1 or cps[-1] > coeffs.limit:
         raise ValueError("checkpoints outside [1, limit]")
+    return cps
+
+
+def partial_sums(coeffs: Coefficients, checkpoints: Sequence[int]) -> PartialSumSeries:
+    """A(x) and A1(x) at the given ascending checkpoints (one cumulative pass)."""
+    cps = _checkpoint_array(coeffs, checkpoints)
     a = coeffs.values_float()
     ca = np.cumsum(a)
     cb = np.cumsum(np.arange(coeffs.limit + 1, dtype=np.float64) * a)
@@ -606,26 +593,14 @@ def partial_sums(coeffs: Coefficients, checkpoints: Sequence[int]) -> PartialSum
 
 
 def partial_sums_exact(coeffs: Coefficients, checkpoints: Sequence[int]):
-    """Exact (A, A1) Fraction lists at checkpoints; exact backend only."""
+    """Exact (A, A1) Fraction lists at the same checkpoints partial_sums
+    takes; exact backend only."""
     if coeffs.backend != "exact":
         raise BackendMismatchError("exact partial sums need the exact backend")
-    if len(checkpoints) == 0:
-        raise ValueError("empty checkpoint list")
-    cps = list(checkpoints)
-    acc_a = Fraction(0)
-    acc_b = Fraction(0)
-    out_a, out_b = [], []
-    idx = 0
-    for n in range(1, coeffs.limit + 1):
-        acc_a += coeffs.values[n]
-        acc_b += n * coeffs.values[n]
-        while idx < len(cps) and cps[idx] == n:
-            out_a.append(acc_a)
-            out_b.append(acc_b)
-            idx += 1
-    if idx != len(cps):
-        raise ValueError("checkpoints outside [1, limit] or not ascending")
-    return out_a, out_b
+    cps = _checkpoint_array(coeffs, checkpoints).tolist()
+    ca = list(itertools.accumulate(coeffs.values))
+    cb = list(itertools.accumulate(coeffs.n_a_n()))
+    return [ca[x] for x in cps], [cb[x] for x in cps]
 
 
 def l0_three_smooth(limit: int) -> np.ndarray:

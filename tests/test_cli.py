@@ -125,6 +125,22 @@ def test_unsolvable_solver_input_is_usage_error(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--betas", "0:inf:0.1", "--n", "100"],
+    ["index", "--grid", "0:inf:1", "--n", "100"],
+    ["scan", "--betas", "0:1:inf", "--n", "100"],  # exited 0 with an empty scan
+    ["zeros", "--im", "0:inf"],
+    ["solve", "--kernel", "disc:inf", "--n", "100"],
+    ["solve", "--kernel", "ratraf:inf,1", "--n", "100"],
+    ["solve", "--kernel", "genin:inf", "--n", "100"],
+    ["solve", "--kernel", "genin:1,nan", "--n", "100"],
+])
+def test_nonfinite_input_is_usage_error(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_verification_failure_exits_one(capsys, monkeypatch):
     def failing_solve(*args, **kwargs):
         raise VerificationError("residual nan at n=5 exceeds 5e-09")

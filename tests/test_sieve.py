@@ -119,6 +119,7 @@ def test_totient_table():
     for n in range(1, 201):
         assert phi[n] == naive_phi(n)
     assert phi[0] == 0
+    assert totient_table(1).tolist() == [0, 1]
 
 
 def test_cache_roundtrip(tmp_path, table_small):
@@ -259,6 +260,13 @@ def test_divisor_pass_matches_per_d_loop(kind, n, seed):
     got, want = s.copy(), s.copy()
     divisor_pass(got, w, 1)
     reference_divisor_pass(want, w, 1)
+    assert np.array_equal(got, want)
+    # separate weights, sign +1, a full-length per-multiple factor: the
+    # Ingham closed form's scatter of mu(j)*t(m) into j*m
+    t = _mult(kind, n + 1, rng)
+    got, want = s.copy(), s.copy()
+    divisor_pass(got, w, 1, t)
+    reference_divisor_pass(want, w, 1, t)
     assert np.array_equal(got, want)
     # in place with a per-multiple factor of any length: the genin inversion
     # b_m = c(m) - sum_{d|m, d<m} v_{m/d} b_d

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raflab.kernels import Affine, Disc, GeneralizedIngham, Ingham, LogKernel, RationalRaf
-from raflab.sieve import sieve
+from raflab.sieve import DIVISOR_PASS_K, sieve
 from raflab.solver import (
-    CLOSED_FORM_SPLIT,
     BackendMismatchError,
     Coefficients,
     PartialSumSeries,
@@ -235,7 +234,8 @@ def test_closed_matches_solve(table_small):
 
 
 def reference_coeff_closed(table, beta, limit):
-    """The per-squarefree-j loop the two-phase float closed form replaces."""
+    """One pass over every squarefree j, j ascending: the summation order the
+    closed form's divisor_pass call keeps, so its floats must match bit for bit."""
     d = np.arange(limit + 1, dtype=np.float64)
     t = np.zeros(limit + 1, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -254,10 +254,12 @@ def reference_coeff_closed(table, beta, limit):
     return out
 
 
-S = CLOSED_FORM_SPLIT
-# below S, at S and S*S (where phase 1 gains its first and S-th j) and next to them
+K = DIVISOR_PASS_K
+# below K, at K, 2K and K*K (where divisor_pass's strided part gains its
+# first, second and K-th d) and next to them
 CLOSED_SIZES = st.one_of(
-    st.sampled_from([1, 2, S - 1, S, S + 1, 2 * S, S * S - 1, S * S, S * S + 1]),
+    st.sampled_from([1, 2, K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1,
+                     K * K - 1, K * K, K * K + 1]),
     st.integers(min_value=1, max_value=5000),
 )
 # beta = -400 overflows t(d) from d = 6 on, which the closed form refuses
@@ -281,17 +283,28 @@ def test_closed_matches_per_j_loop_bit_for_bit(n, beta):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_closed_exact_fractions(table_small):
-    closed = ingham_coeff_closed(table_small, 2.0, 200, exact=True)
-    ex = solve(Ingham(), RhsSpec("power", 2.0), 200, backend="exact")
-    nan = ex.n_a_n()
-    assert closed[1:] == nan[1:]
-    assert isinstance(closed[7], Fraction)
+@pytest.mark.parametrize("beta", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_closed_exact_fractions(table_small, beta, n):
+    closed = ingham_coeff_closed(table_small, float(beta), n, exact=True)
+    ex = solve(Ingham(), RhsSpec("power", float(beta)), n, backend="exact")
+    assert len(closed) == n + 1
+    assert closed[1:] == ex.n_a_n()[1:]
+    assert all(isinstance(v, Fraction) for v in closed)
+
+
+def test_closed_exact_negative_beta_matches_float(table_small):
+    # t(d) = d^2 - (d-1)^2 is an integer, and so is every n*a_n
+    closed = ingham_coeff_closed(table_small, -1.0, 300, exact=True)
+    assert closed == ingham_coeff_closed(table_small, -1.0, 300).tolist()
 
 
 def test_closed_validation(table_small):
     with pytest.raises(ValueError):
         ingham_coeff_closed(table_small, 1.0, 5000)  # past the table
+    for exact in (False, True):
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            ingham_coeff_closed(table_small, 1.0, 0, exact=exact)
     with pytest.raises(ValueError):
         ingham_coeff_closed(table_small, math.inf, 100)
     with pytest.raises(BackendMismatchError):
@@ -396,15 +409,16 @@ def test_partial_sums_exact_matches_float():
 
 
 def test_partial_sums_validation():
-    c = solve(Ingham(), RhsSpec("delta"), 100)
-    with pytest.raises(ValueError):
-        partial_sums(c, [])
-    with pytest.raises(ValueError):
-        partial_sums(c, [0, 10])
-    with pytest.raises(ValueError):
-        partial_sums(c, [10, 101])
+    # both backends refuse the same checkpoint lists with the same message
+    for backend, sums in (("float", partial_sums), ("exact", partial_sums_exact)):
+        c = solve(Ingham(), RhsSpec("delta"), 100, backend=backend)
+        for cps, msg in [([], "empty"), ([0, 10], "outside"), ([10, 101], "outside"),
+                         ([10, 10], "strictly increasing"),
+                         ([5, 200, 10], "strictly increasing")]:
+            with pytest.raises(ValueError, match=msg):
+                sums(c, cps)
     with pytest.raises(BackendMismatchError):
-        partial_sums_exact(c, [10])
+        partial_sums_exact(solve(Ingham(), RhsSpec("delta"), 100), [10])
 
 
 def test_series_container_validation():
