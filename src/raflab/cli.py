@@ -11,7 +11,9 @@ Each handler returns a Result; main() alone times it, writes the CSV and
 manifest, and prints either the JSON document or the plain text.  wall_ms
 covers the whole subcommand, sieve or cache load included.  The solve CSV
 body is rendered as pre-formatted text blocks of SOLVE_CSV_BLOCK rows, after
-the clock stops; every other CSV goes through csv.writer, which quotes.
+the clock stops: float rows "%d,%.17g" are built with numpy (_float_rows),
+byte for byte what % gives, and exact rows with %.  Every other CSV goes
+through csv.writer, which quotes.
 An --out write is atomic: the CSV and the manifest go to temp files next to
 them, which replace the old pair only once both are complete, so a failed
 write leaves an earlier CSV and manifest as they were.
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -40,7 +43,10 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import __version__, claims
 from .asymptotics import (
@@ -250,27 +256,161 @@ def _emit(res: Result, args: argparse.Namespace, cmdline: str, wall_ms: int) -> 
 # ---------------------------------------------------------------------------
 
 
-# Rows per pre-rendered text block of the solve CSV.
-SOLVE_CSV_BLOCK = 16384
+# Rows per pre-rendered text block of the solve CSV (both backends).  Rendering
+# a float block peaks near 0.25 kB per row, about 1 MB at this size, which
+# stays small beside the peak memory of a 2e4-row solve.
+SOLVE_CSV_BLOCK = 4096
+
+# The float rows "%d,%.17g\n" are built with numpy.  %.17g prints |x| rounded
+# to 17 significant digits, D * 10^(X-16) with D in [10^16, 10^17): as
+# fixed notation when -4 <= X < 17, as d.ddde+XX otherwise, with trailing
+# zeros of the fraction and a bare point dropped.  D comes from |x| * 10^(16-X)
+# by Dekker's two-product against 10^k held as a double-double hi + lo; the
+# digits come from a table of the 10^4 four-digit groups.
+_P10_MIN, _P10_MAX = -240, 270  # the k = 16 - X covered by |x| in [1e-250, 1e250]
+_DEKKER_SPLIT = 134217729.0  # 2^27 + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _g17_tables():
+    """(hi, lo, dig4, sig4): 10^k = hi + lo for k in [_P10_MIN, _P10_MAX]; the
+    four ASCII digits of each group g < 10^4 as one uint32; and 4 minus the
+    trailing zeros of g (0 for g = 0).  Built on first use (about 10 ms)."""
+    ks = range(_P10_MIN, _P10_MAX + 1)
+    hi = [float(Fraction(10) ** k) for k in ks]
+    lo = [float(Fraction(10) ** k - Fraction(h)) for k, h in zip(ks, hi)]
+    g = np.arange(10000)
+    chars = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], 1) + ord("0")
+    sig4 = 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)
+    sig4[0] = 0
+    return np.array(hi), np.array(lo), chars.astype(np.uint8).view(np.uint32).ravel(), sig4
+
+
+def _g17_digits(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(D, X), int64: |x| rounded to 17 significant digits is D * 10^(X-16),
+    D in [10^16, 10^17).  0, inf and nan give D = 10^16, X = 0.
+
+    The double-double product is good to about 1e-14, so only a fraction
+    within 1e-6 of 1/2 could round the wrong way; such elements, |x| outside
+    [1e-250, 1e250], and a D outside [10^16, 10^17) before or after rounding
+    (log10 one off next to a power of ten) take D and X from Python's
+    "%.16e" instead.
+    """
+    hi, lo, _, _ = _g17_tables()
+    ax = np.abs(x)
+    fast = (ax >= 1e-250) & (ax <= 1e250)
+    ax[~fast] = 1.0
+    X = np.floor(np.log10(ax)).astype(np.int64)
+    k = 16 - _P10_MIN - X
+    ph, pl = hi[k], lo[k]
+    p = ax * ph
+    c = _DEKKER_SPLIT * ax
+    ah = c - (c - ax)
+    al = ax - ah
+    c = _DEKKER_SPLIT * ph
+    bh = c - (c - ph)
+    bl = ph - bh
+    t = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + ax * pl  # |x| 10^(16-X) - p
+    whole = np.floor(t)
+    frac = t - whole
+    D = p.astype(np.int64) + whole.astype(np.int64)  # p >= 2^53 is an integer
+    slow = (np.abs(frac - 0.5) < 1e-6) | (D < 10**16)
+    D += frac > 0.5
+    slow |= (D >= 10**17) | ~fast & np.isfinite(x) & (x != 0)
+    for i in np.flatnonzero(slow).tolist():
+        text = "%.16e" % abs(float(x[i]))
+        D[i] = int(text[0] + text[2:18])
+        X[i] = int(text[19:])
+    return D, X
+
+
+def _digit_chars(v: np.ndarray, groups: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(g, chars): the base-10^4 digits g (groups, len(v)) of v < 10^(4*groups),
+    most significant first, and their ASCII digits (4*groups, len(v))."""
+    dig4 = _g17_tables()[2]
+    g = np.empty((groups, len(v)), dtype=np.int64)
+    for j in range(groups - 1, 0, -1):
+        q = v // 10000
+        g[j] = v - 10000 * q
+        v = q
+    g[0] = v
+    chars = dig4[g].view(np.uint8).reshape(groups, -1, 4).transpose(0, 2, 1)
+    return g, chars.reshape(4 * groups, -1)
+
+
+_SLOTS18 = np.arange(18)[:, None]
+
+
+def _float_rows(first: int, x: np.ndarray) -> str:
+    """"%d,%.17g\n" % (first + i, x[i]) for each i, joined, byte for byte.
+
+    Each row is laid out in fixed slots, one row of a slot-major uint8
+    array per slot, NUL in a slot the row does not use: n, ",", sign,
+    "0.000" (fixed notation below 1), 18 slots for the 17 digits and a
+    point, "e+XXX", newline.  One transpose and bytes.translate, which
+    drops the NULs, give the text.
+    """
+    rows = len(x)
+    sig4 = _g17_tables()[3]
+    D, X = _g17_digits(x)
+    n = np.arange(first, first + rows, dtype=np.int64)
+    wn = len(str(first + rows - 1))
+    lead = 10 ** np.arange(wn - 1, -1, -1, dtype=np.int64)
+    lead[-1] = 0
+    out = np.zeros((wn + 31, rows), dtype=np.uint8)  # n and 1 + 1 + 5 + 18 + 5 + 1 slots
+    out[:wn] = _digit_chars(n, -(-wn // 4))[1][-wn:] * (n >= lead[:, None])
+    out[wn] = ord(",")
+    out[wn + 1] = (np.signbit(x) & ~np.isnan(x)) * np.uint8(ord("-"))
+
+    # D as "000" and 17 digits; nsig digits up to the last nonzero one
+    g, chars = _digit_chars(D, 5)
+    digits = chars[3:]
+    nsig = ((4 * np.arange(5)[:, None] - 3 + sig4[g]) * (g != 0)).max(0)
+    fixed = (X >= -4) & (X < 17)
+    small = fixed & (X < 0)  # "0." and -X-1 zeros, then every digit after the point
+    ip = np.where(fixed, np.maximum(X + 1, 0), 1)  # digits before the point
+    pre = wn + 2
+    out[pre] = small * np.uint8(ord("0"))
+    out[pre + 1] = small * np.uint8(ord("."))
+    out[pre + 2 : pre + 5] = ((X <= -2 - np.arange(3)[:, None]) & small) * np.uint8(ord("0"))
+    body = out[pre + 5 : pre + 23]  # digit j at slot j before the point, j + 1 after it
+    np.multiply(digits, _SLOTS18[:17] < ip, out=body[:17])
+    body[1:] += digits * ((_SLOTS18[1:] > ip) & (_SLOTS18[1:] <= nsig))
+    body += ((_SLOTS18 == ip) & (nsig > ip) & ~small) * np.uint8(ord("."))
+
+    exp = pre + 23
+    e = ~fixed
+    ae = np.abs(X)
+    out[exp] = e * np.uint8(ord("e"))
+    out[exp + 1] = e * np.where(X < 0, ord("-"), ord("+"))
+    out[exp + 2] = (e & (ae >= 100)) * (ord("0") + ae // 100)
+    out[exp + 3] = e * (ord("0") + ae // 10 % 10)
+    out[exp + 4] = e * (ord("0") + ae % 10)
+    out[exp + 5] = ord("\n")
+    for mask, text in ((x == 0, b"0"), (np.isinf(x), b"inf"), (np.isnan(x), b"nan")):
+        idx = np.flatnonzero(mask)
+        if len(idx):  # these rows hold "1" (D = 10^16, X = 0) in the first digit slot
+            out[pre + 5 : pre + 5 + len(text), idx] = np.frombuffer(text, np.uint8)[:, None]
+    return out.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _solve_body(a, limit: int, exact: bool) -> Iterator[str]:
     """Rows n = 1..limit of the solve CSV, SOLVE_CSV_BLOCK rows per string.
 
-    A float row is "%d,%.17g" (the _f format), an exact row n, numerator,
-    denominator; neither can hold a character csv.writer would quote.
+    A float row is "%d,%.17g" (the _f format), built with numpy by
+    _float_rows; an exact row is n, numerator, denominator, built with %.
+    Neither can hold a character csv.writer would quote.
     """
-    fmt, width = ("%d,%d,%d\n", 3) if exact else ("%d,%.17g\n", 2)
     for lo in range(1, limit + 1, SOLVE_CSV_BLOCK):
         hi = min(lo + SOLVE_CSV_BLOCK, limit + 1)
-        cells: list = [0] * (width * (hi - lo))
-        cells[0::width] = range(lo, hi)
-        if exact:
-            cells[1::3] = [x.numerator for x in a[lo:hi]]
-            cells[2::3] = [x.denominator for x in a[lo:hi]]
-        else:
-            cells[1::2] = a[lo:hi].tolist()
-        yield (fmt * (hi - lo)) % tuple(cells)
+        if not exact:
+            yield _float_rows(lo, a[lo:hi])
+            continue
+        cells: list = [0] * (3 * (hi - lo))
+        cells[0::3] = range(lo, hi)
+        cells[1::3] = [x.numerator for x in a[lo:hi]]
+        cells[2::3] = [x.denominator for x in a[lo:hi]]
+        yield ("%d,%d,%d\n" * (hi - lo)) % tuple(cells)
 
 
 def _cmd_solve(args: argparse.Namespace) -> Result:

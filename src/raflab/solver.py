@@ -268,7 +268,9 @@ def solve(
                 "got %s" % rhs.label
             )
         generic = False
-        b = _exact_s(rhs, limit)
+        l0 = _rhs_l0(rhs, limit)
+        r = None
+        b = _exact_s(rhs, limit, l0)
         _divisor_solve(b, u)  # b_m = m a_m
         values = [Fraction(0)] * (limit + 1)
         for m in range(1, limit + 1):
@@ -280,7 +282,8 @@ def solve(
             raise ValueError(
                 "generic O(N^2) solve capped at N=%d (asked %d)" % (GENERIC_CAP, limit)
             )
-        r = rhs.values_float(limit, _rhs_l0(rhs, limit))
+        l0 = _rhs_l0(rhs, limit)
+        r = rhs.values_float(limit, l0)
         bad = np.flatnonzero(~np.isfinite(r[1:]))
         if len(bad):
             raise ValueError("rhs %s: R(n) is not finite at n=%d" % (rhs.label, bad[0] + 1))
@@ -288,14 +291,14 @@ def solve(
             h = None if force_generic else kernel.hankel_values(limit)
             values = _solve_generic_float(kernel, r, limit, h)
         elif u is not None:
-            values = _divisor_solve_float(r, u)
+            values = _divisor_solve_float(r, u, rhs.label)
         else:
             values = _separable_solve_float(r, *pq)
     else:
         raise ValueError("backend must be 'exact' or 'float', got %r" % (backend,))
 
     coeffs = Coefficients(kernel=kernel, rhs=rhs, limit=limit, backend=backend, values=values)
-    _spot_check(coeffs, generic)
+    _spot_check(coeffs, generic, l0, r)
     return coeffs
 
 
@@ -315,11 +318,19 @@ def _divisor_solve(s: np.ndarray, u: np.ndarray) -> None:
         divisor_pass(s, s, -1, u / u[1])
 
 
-def _divisor_solve_float(r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """a_0..a_N in float64 from R(0..N), s(m) = m R(m) - (m-1) R(m-1) vectorised."""
+def _divisor_solve_float(r: np.ndarray, u: np.ndarray, label: str) -> np.ndarray:
+    """a_0..a_N in float64 from R(0..N), s(m) = m R(m) - (m-1) R(m-1) vectorised.
+
+    Raises ValueError when s(m) is not finite (m R(m) overflows although R
+    itself is finite), naming the RHS label.
+    """
     n = np.arange(len(r), dtype=np.float64)
     a = np.zeros(len(r), dtype=np.float64)
-    a[1:] = n[1:] * r[1:] - n[:-1] * r[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a[1:] = n[1:] * r[1:] - n[:-1] * r[:-1]
+    bad = np.flatnonzero(~np.isfinite(a[1:]))
+    if len(bad):
+        raise ValueError("rhs %s: s(m) is not finite at m=%d" % (label, bad[0] + 1))
     _divisor_solve(a, u)  # b_m = m a_m
     a[1:] /= n[1:]
     return a
@@ -353,10 +364,10 @@ def _separable_solve_float(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.nd
     return a
 
 
-def _exact_s(rhs: RhsSpec, limit: int) -> np.ndarray:
+def _exact_s(rhs: RhsSpec, limit: int, l0: Optional[np.ndarray]) -> np.ndarray:
     """s(m) = m R(m) - (m-1) R(m-1) as an object array: ints for delta and
-    beta in {0, 1}, Fractions otherwise.  Staying in ints is much faster."""
-    l0 = _rhs_l0(rhs, limit)
+    beta in {0, 1}, Fractions otherwise.  Staying in ints is much faster.
+    l0 is the L0 table of an l0pow RHS (None otherwise)."""
     s: list = [0] * (limit + 1)
     if rhs.kind == "delta":
         s[1] = 1
@@ -406,10 +417,11 @@ def _solve_generic_float(
     return a
 
 
-def _spot_check(coeffs: Coefficients, generic: bool) -> None:
+def _spot_check(coeffs: Coefficients, generic: bool, l0, rfl) -> None:
     """Post-solve checks: a_1, then verify_residuals at n = limit, or on its
     default sample after a generic solve, which builds each row on its own,
-    so a wrong row below the last one can occur there.
+    so a wrong row below the last one can occur there.  l0 and rfl are the
+    L0 table and float R array the solve already built (see _residual_rhs).
 
     Raises:
         VerificationError: either check fails (a NaN residual fails too).
@@ -420,7 +432,7 @@ def _spot_check(coeffs: Coefficients, generic: bool) -> None:
             raise VerificationError("a_1 != 1 on exact backend")
     elif g11 == 1.0 and not abs(coeffs.values[1] - 1.0) < 1e-12:
         raise VerificationError("a_1 = %g, expected 1" % coeffs.values[1])
-    worst = verify_residuals(coeffs, None if generic else [coeffs.limit])
+    worst = _verify_residuals(coeffs, None if generic else [coeffs.limit], l0, rfl)
     if not worst <= 1.0:
         raise VerificationError(
             "post-solve residual check: worst |residual|/tolerance %g" % worst
@@ -429,11 +441,43 @@ def _spot_check(coeffs: Coefficients, generic: bool) -> None:
 
 def _residual_rhs(coeffs: Coefficients):
     """(l0, R) for _residual: the L0 table (l0pow only) and, on the float
-    backend, the float R array; built once per caller."""
+    backend, the float R array, as solve() builds them; built once per
+    caller, and handed over by solve() itself to its post-solve check."""
     l0 = _rhs_l0(coeffs.rhs, coeffs.limit)
     if coeffs.backend == "exact":
         return l0, None
     return l0, coeffs.rhs.values_float(coeffs.limit, l0)
+
+
+def _exact_sum(p: np.ndarray) -> float:
+    """math.fsum(p) bit for bit, with no Python list of p; p is overwritten.
+
+    Error-free vector extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I: faithful rounding", SIAM J. Sci.
+    Comput. 31, 2008): with max|p| < 2^E and sigma = 2^(E + g), 2^g >= n + 2,
+    q = (sigma + p) - sigma holds the high bits of each p_i as multiples of
+    ulp(sigma)/2, so sum(q) is exact in any order and p - q is exact.  Each
+    round moves the sum of q into a short list and strips about 53 - g bits
+    from p, until p is zero; fsum of that list is the correctly rounded
+    sum of p, which is what fsum(p) returns.  A non-finite max|p| or one
+    above 2^900 (where sigma could overflow) falls back to fsum itself, so
+    NaN, inf and fsum's OverflowError behave as fsum's do; so does a p of
+    zeros, whose sign fsum decides.
+    """
+    guard = (len(p) + 1).bit_length()
+    parts = []
+    while len(p):
+        top = max(float(p.max()), -float(p.min()))
+        if top == 0.0 and parts:
+            break
+        if not 0.0 < top <= 2.0**900:
+            return math.fsum(p.tolist())
+        sigma = math.ldexp(1.0, guard + math.frexp(top)[1])
+        q = p + sigma
+        q -= sigma
+        parts.append(float(q.sum()))
+        p -= q
+    return math.fsum(parts)
 
 
 def _residual(coeffs: Coefficients, n: int, l0, rfl):
@@ -447,14 +491,15 @@ def _residual(coeffs: Coefficients, n: int, l0, rfl):
             acc += coeffs.values[k] * Fraction(k * (n // k), n)
         return acc - coeffs.rhs.value_exact(n, l0)
     row = coeffs.kernel.eval_row(n, np.arange(1, n + 1, dtype=np.int64))
-    return math.fsum((row * coeffs.values[1 : n + 1]).tolist()) - rfl[n]
+    return _exact_sum(row * coeffs.values[1 : n + 1]) - rfl[n]
 
 
 def residual(coeffs: Coefficients, n: int):
     """sum_{k<=n} a_k G(n,k) - R(n), by direct kernel evaluation.
 
     Exact backend returns an exact Fraction (ingham only); float backend
-    uses compensated (fsum) accumulation so the report is trustworthy.
+    sums the row correctly rounded, bit for bit what math.fsum gives, by
+    error-free vector extraction (_exact_sum), so the report is trustworthy.
     """
     return _residual(coeffs, n, *_residual_rhs(coeffs))
 
@@ -467,6 +512,11 @@ def verify_residuals(coeffs: Coefficients, ns: Optional[Sequence[int]] = None) -
     Default sample: all n <= 64, then a geometric sweep (ratio 1.5) up to
     the limit.
     """
+    return _verify_residuals(coeffs, ns, *_residual_rhs(coeffs))
+
+
+def _verify_residuals(coeffs: Coefficients, ns: Optional[Sequence[int]], l0, rfl) -> float:
+    """verify_residuals with the L0 table and float R array given."""
     if ns is None:
         ns = sorted(
             set(range(1, min(coeffs.limit, 64) + 1))
@@ -474,7 +524,6 @@ def verify_residuals(coeffs: Coefficients, ns: Optional[Sequence[int]] = None) -
         )
         ns = [n for n in ns if n <= coeffs.limit]
     worst = 0.0
-    l0, rfl = _residual_rhs(coeffs)
     for n in ns:
         res = _residual(coeffs, n, l0, rfl)
         if coeffs.backend == "exact":

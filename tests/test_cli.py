@@ -17,13 +17,16 @@ import resource
 import signal
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import raflab.cli
 from raflab import claims
-from raflab.cli import SOLVE_CSV_BLOCK, main
+from raflab.cli import SOLVE_CSV_BLOCK, _float_rows, main
 from raflab.kernels import parse_kernel
 from raflab.sieve import load_cache, save_cache, sieve
 from raflab.solver import VerificationError, parse_rhs, solve
@@ -112,6 +115,25 @@ def test_overflowing_rhs_is_usage_error_also_under_python_O(capsys):
     proc = run_python_O(argv)
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--rhs", "power:-51", "--n", "1000000"],
+    ["solve", "--kernel", "genin:1,-1", "--rhs", "power:-51", "--n", "1000000"],
+])
+def test_overflowing_s_is_usage_error_also_under_python_O(capsys, argv):
+    # R(n) = n^51 is finite up to 10^6 but m R(m) is not from m ~ 8.5e5 on;
+    # this printed two RuntimeWarnings and exited 1 on an inf residual
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: rhs power:-51: s(m) is not finite at m=")
+    assert len(err.splitlines()) == 1
+
+    proc = run_python_O(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == err
 
 
 @pytest.mark.parametrize("argv", [
@@ -275,17 +297,25 @@ def reference_solve_csv(kernel, rhs, n, backend):
 B = SOLVE_CSV_BLOCK
 
 
-# one row; one row short of, at and one past the first block edge; past the second
+# one row; one row short of, at and one past the first block edge; at, past
+# and next to the later ones, the fourth (16384 rows) and eighth among them
 @pytest.mark.parametrize("kernel,rhs,n,backend", [
     ("ingham", "power:0.7", 1, "float"),
     ("ingham", "power:0.7", B - 1, "float"),
     ("ingham", "power:0.7", B, "float"),
     ("ingham", "power:0.7", B + 1, "float"),
     ("ingham", "power:0.7", 2 * B + 1, "float"),
-    ("affine:0.5", "power:0.5", B + 1, "float"),
-    ("disc:2", "power:1.5", B + 1, "float"),
-    ("ingham", "power:2", B + 1, "exact"),
-    ("ingham", "delta", B + 1, "exact"),
+    ("ingham", "delta", 2 * B, "float"),
+    ("ingham", "power:-1", 3 * B - 1, "float"),
+    ("ingham", "l0pow:0.9", 3 * B + 1, "float"),
+    ("ingham", "power:0.7", 4 * B - 1, "float"),
+    ("ingham", "power:0.7", 4 * B, "float"),
+    ("ingham", "power:0.7", 4 * B + 1, "float"),
+    ("ingham", "power:0.7", 8 * B + 1, "float"),
+    ("affine:0.5", "power:0.5", 4 * B + 1, "float"),
+    ("disc:2", "power:1.5", 4 * B + 1, "float"),
+    ("ingham", "power:2", 4 * B + 1, "exact"),
+    ("ingham", "delta", 4 * B + 1, "exact"),
 ])
 def test_solve_csv_bytes_match_per_row_writer(capsys, tmp_path, kernel, rhs, n, backend):
     out_path = tmp_path / "coef.csv"
@@ -293,6 +323,50 @@ def test_solve_csv_bytes_match_per_row_writer(capsys, tmp_path, kernel, rhs, n, 
                             "--backend", backend, "--out", str(out_path)])
     assert rc == 0
     assert out_path.read_bytes() == reference_solve_csv(kernel, rhs, n, backend)
+
+
+def _percent_rows(first, x):
+    return "".join("%d,%.17g\n" % (first + i, v) for i, v in enumerate(x.tolist()))
+
+
+FIRST_N = (1, 9, 10, 99999, 10**7 - 1)
+
+
+@pytest.mark.parametrize("first", FIRST_N)
+def test_float_rows_next_to_powers_of_ten(first):
+    # 10^k and its neighbours for k in [-320, 308], both signs: subnormals,
+    # the fixed/exponent switches at 1e-5 and 1e17, and 3-digit exponents
+    p = np.array([float("1e%d" % k) for k in range(-320, 309)])
+    x = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+    x = np.concatenate([x, -x, [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324]])
+    assert _float_rows(first, x) == _percent_rows(first, x)
+
+
+def _ties(q):
+    """Odd m / 2^q with 18 significant digits, the last a 5: exact 17-digit ties."""
+    lo = math.ceil(Fraction(10) ** (17 - q) * 2**q)
+    hi = min(math.ceil(Fraction(10) ** (18 - q) * 2**q), 2**53)
+    return st.integers(lo // 2, (hi - 1) // 2).map(lambda j: (2 * j + 1) / 2**q)
+
+
+DOUBLES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),  # subnormals and +-0 among them
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64))),
+    st.integers(2, 25).flatmap(_ties),
+    st.integers(-320, 308).map(lambda k: float(np.nextafter(float("1e%d" % k), 0))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIRST_N), st.lists(DOUBLES, max_size=200))
+def test_float_rows_match_percent_format(first, xs):
+    x = np.array(xs, dtype=np.float64)
+    assert _float_rows(first, x) == _percent_rows(first, x)
+
+
+def test_float_rows_round_ties_to_even():
+    x = np.array([1e15 + 0.25, 1e15 + 0.75])
+    assert _float_rows(1, x) == "1,1000000000000000.2\n2,1000000000000000.8\n"
 
 
 def _limit_file_size():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 import warnings
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from raflab.solver import (
     RhsSpec,
     SingularKernelError,
     VerificationError,
+    _exact_sum,
     delta_coeff_closed,
     ingham_coeff_closed,
     l0_three_smooth,
@@ -366,6 +368,49 @@ def test_verify_residuals_fails_a_nan_residual():
     a = c.values.copy()
     a[70] = math.nan  # only the residuals at n >= 70 see it
     assert verify_residuals(dataclasses.replace(c, values=a)) == math.inf
+
+
+def _assert_sum_is_fsum(p):
+    """_exact_sum(p) is math.fsum(p.tolist()) bit for bit, or raises what it raises."""
+    try:
+        want = math.fsum(p.tolist())
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            _exact_sum(p.copy())
+        return
+    assert struct.pack("<d", _exact_sum(p.copy())) == struct.pack("<d", want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 5000),
+    st.integers(-1074, 1000),
+    st.integers(0, 2100),
+    st.sampled_from(["spread", "cancel", "zeros", "special"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_sum_is_fsum_bit_for_bit(length, low, spread, kind, seed):
+    # magnitudes 2^low .. 2^min(low + spread, 1000), subnormals included
+    rng = np.random.default_rng(seed)
+    p = np.ldexp(rng.uniform(-1.0, 1.0, length), rng.integers(low, min(low + spread, 1000) + 1, length))
+    if kind == "cancel":  # every term with its negation, plus a few small ones
+        p = np.concatenate([p, -p, np.ldexp(rng.uniform(-1.0, 1.0, 3), low)])
+        rng.shuffle(p)
+    elif kind == "zeros" and length:
+        p[rng.integers(0, length, length // 2 + 1)] = rng.choice([0.0, -0.0], length // 2 + 1)
+    elif kind == "special" and length:
+        p[rng.integers(0, length, 2)] = rng.choice([math.inf, -math.inf, math.nan, 2.0**1023, -2.0**1023], 2)
+    _assert_sum_is_fsum(p)
+
+
+@pytest.mark.parametrize("terms", [
+    [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324] * 3, [1.0, 5e-324, -1.0],
+    [2.0**53, 1.0, -(2.0**53)], [1.0, 2.0**-60, 2.0**-120, -1.0], [1.5, 2.0**-53],
+    [math.inf], [math.inf, -math.inf], [math.nan, 1.0], [1e308, 1e308], [1e308, 1e308, -1e308],
+    [2.0**900, 2.0**900, -(2.0**900)], [2.0**901, 1.0], [2.0**1020, 1.0, -1.0], [2.0**1000] * 4,
+])
+def test_exact_sum_edge_cases_match_fsum(terms):
+    _assert_sum_is_fsum(np.array(terms, dtype=np.float64))
 
 
 def test_residual_exact_is_zero():
