@@ -28,7 +28,8 @@ A missing or too small cache is rebuilt silently.
 
 Exit codes: 0 ok; 1 verification failure (an asserted identity or
 tolerance was violated) or an index bracket failure; 2 usage or I/O error,
-a singular kernel, or a kernel/RHS the exact backend cannot take.
+a singular kernel, a kernel/RHS the exact backend cannot take, or an RHS
+whose float R(n), s(m) or a_n is not finite.
 """
 
 from __future__ import annotations
@@ -542,12 +543,7 @@ def _cmd_zeros(args: argparse.Namespace) -> Result:
 
 def _cmd_count(args: argparse.Namespace) -> Result:
     spec = parse_count_what(args.what, args.n)
-    need = spec.n
-    if spec.kind == "prime_powers":
-        need = spec.p * spec.n
-    elif spec.kind == "smooth":
-        need = math.prod(spec.primes) * spec.n
-    formula = count_formula(spec, _get_table(need, args.sieve_cache))
+    formula = count_formula(spec, _get_table(spec.mu_limit, args.sieve_cache))
     oracle = count_oracle(spec) if args.oracle else None
     match = None if oracle is None else formula == oracle
     text = "formula=%d" % formula

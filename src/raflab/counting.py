@@ -104,6 +104,16 @@ class CountSpec:
             return "smooth:" + ",".join(str(q) for q in self.primes)
         return "elias"
 
+    @property
+    def mu_limit(self) -> int:
+        """The mu range count_formula needs: p*n for prime_powers, P*n for
+        smooth (P the product of the primes), n for every other kind."""
+        if self.kind == "prime_powers":
+            return self.p * self.n
+        if self.kind == "smooth":
+            return math.prod(self.primes) * self.n
+        return self.n
+
 
 def parse_count_what(what: str, n: int) -> CountSpec:
     """Parse the CLI grammar coprime:<m>|pfree:<p>|ppow:<p>|smooth:<p1,p2,..>|elias."""
@@ -147,12 +157,19 @@ def _iroot(n: int, p: int) -> int:
 
 
 def count_formula(spec: CountSpec, table: MobiusTable) -> int:
-    """Evaluate the Mobius-sum formula exactly in integer arithmetic."""
+    """Evaluate the Mobius-sum formula exactly in integer arithmetic.
+
+    Raises:
+        ValueError: the table ends below spec.mu_limit.
+    """
+    if spec.mu_limit > table.limit:
+        raise ValueError(
+            "%s at n=%d needs mu up to %d > table limit %d"
+            % (spec.label, spec.n, spec.mu_limit, table.limit)
+        )
     n = spec.n
     mu = table.mu
     if spec.kind == "coprime_tuples":
-        if n > table.limit:
-            raise ValueError("n=%d exceeds table limit %d" % (n, table.limit))
         ks = np.arange(1, n + 1, dtype=np.int64)
         floors = n // ks
         if spec.m * n.bit_length() <= 62:
@@ -160,33 +177,18 @@ def count_formula(spec: CountSpec, table: MobiusTable) -> int:
         # n^m overflows int64: fall back to Python big ints
         return sum(int(mu[k]) * int(n // k) ** spec.m for k in range(1, n + 1) if mu[k])
     if spec.kind == "p_free":
-        if n > table.limit:
-            raise ValueError("n=%d exceeds table limit %d" % (n, table.limit))
         kmax = _iroot(n, spec.p)
         ks = np.arange(1, kmax + 1, dtype=np.int64)
         return int(np.sum(mu[1 : kmax + 1].astype(np.int64) * (n // ks**spec.p)))
     if spec.kind == "prime_powers":
-        if spec.p * n > table.limit:
-            raise ValueError(
-                "prime_powers needs mu up to p*n = %d > table limit %d"
-                % (spec.p * n, table.limit)
-            )
         ks = np.arange(1, n + 1, dtype=np.int64)
         return -int(np.sum(mu[spec.p * ks].astype(np.int64) * (n // ks)))
     if spec.kind == "smooth":
-        prod = 1
-        for q in spec.primes:
-            prod *= q
-        if prod * n > table.limit:
-            raise ValueError(
-                "smooth needs mu up to P*n = %d > table limit %d" % (prod * n, table.limit)
-            )
+        prod = math.prod(spec.primes)
         ks = np.arange(1, n + 1, dtype=np.int64)
         s = int(np.sum(mu[prod * ks].astype(np.int64) * (n // ks)))
         return s if len(spec.primes) % 2 == 0 else -s
     # elias_gamma
-    if n > table.limit:
-        raise ValueError("n=%d exceeds table limit %d" % (n, table.limit))
     ks = np.arange(1, n + 1, dtype=np.int64)
     signs = np.where(ks % 2 == 1, 1, -1)
     return int(np.sum(signs * mu[1 : n + 1].astype(np.int64) * (n // ks)))

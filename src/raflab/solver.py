@@ -1,14 +1,14 @@
 """Triangular-recurrence solver for sum_{k<=n} a_k G(n,k) = R(n), a_1 = 1.
 
-Right-hand sides (RhsSpec): R(n) = n^-beta ("power"), the delta sequence
-(1,0,0,...) — the beta = infinity limit — and n^-beta * L0(n) with L0 the
-3-smooth counting function ("l0pow").
+Right-hand sides (RhsSpec, the one evaluator of R, at any n): R(n) = n^-beta
+("power"), the delta sequence (1,0,0,...) — the beta = infinity limit — and
+n^-beta * L0(n) with L0 the 3-smooth counting function ("l0pow").
 
 solve() picks its path from what the kernel declares, never from the
 kernel's class, in this order:
   * divisor   — O(N log N), for kernels with Dirichlet weights u
                 (Kernel.dirichlet_weights: ingham, genin, disc with integer
-                lam); float, or exact Fraction arithmetic when u = delta
+                lam); float, or, on ints and Fractions, exact when u = delta
                 and every R(n) is rational (delta, integer beta >= 0).
   * separable — O(N), float only, for rank-2 separable kernels
                 (Kernel.separable_factors: affine, log).
@@ -27,7 +27,8 @@ multiples of j*k up to n, so
     sum_{k<=n} b_k sum_j u_j floor(n/(j*k)) = sum_{m<=n} (1 * u * b)(m) = n R(n),
 
 with * the Dirichlet convolution.  Hence (1 * u * b)(m) = s(m) :=
-m R(m) - (m-1) R(m-1).  One in-place pass, sieve.divisor_pass(s, s, -1),
+T(m) - T(m-1), T(m) = m R(m) (RhsSpec.t_exact or m * r_float on the two
+backends).  One in-place pass, sieve.divisor_pass(s, s, -1),
 strips the 1 and leaves c = mu * s = u * b; a second pass with
 mult = u/u_1 then solves u_1 b_m = c(m) - sum_{d|m, d<m} u_{m/d} b_d.
 The x*floor(1/x) kernel is u = delta (u_1 = 1, no other weight), so it
@@ -90,7 +91,7 @@ class RhsSpec:
 
     kind: "power" (R(n) = n^-beta), "delta" (R = 1,0,0,...; beta = inf),
     or "l0pow" (R(n) = n^-beta * L0(n), L0 the 3-smooth counting function
-    l0_three_smooth, filled in at solve time).
+    l0_three_smooth, which each evaluator builds up to the largest n asked).
     """
 
     kind: str
@@ -123,33 +124,33 @@ class RhsSpec:
             return "power:%g" % self.beta
         return "l0pow:%g" % self.beta
 
-    def values_float(self, limit: int, l0: Optional[np.ndarray] = None) -> np.ndarray:
-        """R(n) for n = 0..limit as float64 (index 0 is zero-filled)."""
-        n = np.arange(limit + 1, dtype=np.float64)
+    def r_float(self, ns: np.ndarray) -> np.ndarray:
+        """R(n) as float64 at each n of the int array ns (R(0) = 0), bit for
+        bit what R over all of 0..N holds at that n."""
+        ns = np.asarray(ns, dtype=np.int64)
         if self.kind == "delta":
-            r = np.zeros(limit + 1)
-            r[1] = 1.0
-            return r
+            return (ns == 1).astype(np.float64)
         with np.errstate(divide="ignore", over="ignore"):
-            r = n ** (-self.beta)
-        r[0] = 0.0
+            r = ns.astype(np.float64) ** (-self.beta)
+        r[ns == 0] = 0.0
         if self.kind == "l0pow":
-            if l0 is None:
-                l0 = l0_three_smooth(limit)
-            r *= l0[: limit + 1]
+            r *= l0_three_smooth(int(ns.max(initial=1)))[ns]
         return r
 
-    def value_exact(self, n: int, l0: Optional[np.ndarray] = None) -> Fraction:
-        """R(n) as a Fraction (integer beta); l0pow needs the L0 table l0."""
+    def t_exact(self, ns: np.ndarray) -> np.ndarray:
+        """T(n) = n R(n) at each n of the int array ns (T(0) = 0) as an object
+        array: Python ints where T is integral (delta, beta <= 1), which is
+        much faster, and Fractions otherwise; ValueError for non-integer beta."""
+        ns = np.asarray(ns, dtype=np.int64)
         if self.kind == "delta":
-            return Fraction(1 if n == 1 else 0)
-        b = int(self.beta)
-        base = Fraction(1, n**b) if b >= 0 else Fraction(n ** (-b))
+            return np.array([int(n == 1) for n in ns.tolist()], dtype=object)
+        if not self.beta_is_integer:
+            raise ValueError("rhs %s: T(n) is exact only for integer beta" % self.label)
+        e = 1 - int(self.beta)  # T(n) = n^e for n >= 1
+        t = [0 if not n else n**e if e >= 0 else Fraction(1, n**-e) for n in ns.tolist()]
         if self.kind == "l0pow":
-            if l0 is None:
-                raise ValueError("l0pow rhs needs the L0 table to give R(%d)" % n)
-            base *= int(l0[n])
-        return base
+            t = [v * c for v, c in zip(t, l0_three_smooth(int(ns.max(initial=1)))[ns].tolist())]
+        return np.array(t, dtype=object)
 
 
 def parse_rhs(spec: str) -> RhsSpec:
@@ -189,10 +190,7 @@ class Coefficients:
 
     def values_float(self) -> np.ndarray:
         if self.backend == "exact":
-            out = np.zeros(self.limit + 1)
-            for n in range(1, self.limit + 1):
-                out[n] = float(self.values[n])
-            return out
+            return np.array(self.values, dtype=np.float64)
         return self.values
 
 
@@ -250,7 +248,8 @@ def solve(
             delta, or an RHS whose values are not rational (delta / integer
             beta >= 0 are rational; fractional beta is not).
         ValueError: an unknown backend, a generic solve above GENERIC_CAP,
-            or a float R(n) that is not finite (e.g. n^-beta overflows).
+            or a float R(n), s(m) or a_n that is not finite (e.g. n^-beta
+            overflows).
         VerificationError: the post-solve a_1 or residual check fails.
     """
     if limit < 1:
@@ -268,13 +267,7 @@ def solve(
                 "got %s" % rhs.label
             )
         generic = False
-        l0 = _rhs_l0(rhs, limit)
-        r = None
-        b = _exact_s(rhs, limit, l0)
-        _divisor_solve(b, u)  # b_m = m a_m
-        values = [Fraction(0)] * (limit + 1)
-        for m in range(1, limit + 1):
-            values[m] = Fraction(b[m], m) if isinstance(b[m], int) else b[m] / m
+        values = _divisor_solve(rhs.t_exact(np.arange(limit + 1)), u, rhs.label)
     elif backend == "float":
         pq = None if force_generic or u is not None else kernel.separable_factors(limit)
         generic = force_generic or (u is None and pq is None)
@@ -282,8 +275,7 @@ def solve(
             raise ValueError(
                 "generic O(N^2) solve capped at N=%d (asked %d)" % (GENERIC_CAP, limit)
             )
-        l0 = _rhs_l0(rhs, limit)
-        r = rhs.values_float(limit, l0)
+        r = rhs.r_float(np.arange(limit + 1))
         bad = np.flatnonzero(~np.isfinite(r[1:]))
         if len(bad):
             raise ValueError("rhs %s: R(n) is not finite at n=%d" % (rhs.label, bad[0] + 1))
@@ -291,49 +283,48 @@ def solve(
             h = None if force_generic else kernel.hankel_values(limit)
             values = _solve_generic_float(kernel, r, limit, h)
         elif u is not None:
-            values = _divisor_solve_float(r, u, rhs.label)
+            with np.errstate(over="ignore"):
+                r *= np.arange(limit + 1)  # now T(n) = n R(n)
+            values = _divisor_solve(r, u, rhs.label)
         else:
             values = _separable_solve_float(r, *pq)
+        bad = np.flatnonzero(~np.isfinite(values[1:]))
+        if len(bad):
+            raise ValueError("rhs %s: a_n is not finite at n=%d" % (rhs.label, bad[0] + 1))
     else:
         raise ValueError("backend must be 'exact' or 'float', got %r" % (backend,))
 
     coeffs = Coefficients(kernel=kernel, rhs=rhs, limit=limit, backend=backend, values=values)
-    _spot_check(coeffs, generic, l0, r)
+    _spot_check(coeffs, generic)
     return coeffs
 
 
-def _rhs_l0(rhs: RhsSpec, limit: int) -> Optional[np.ndarray]:
-    return l0_three_smooth(limit) if rhs.kind == "l0pow" else None
-
-
-def _divisor_solve(s: np.ndarray, u: np.ndarray) -> None:
-    """Turn s in place into b with (1 * u * b)(m) = s(m) for m = 1..N."""
+def _divisor_solve(t: np.ndarray, u: np.ndarray, label: str) -> Union[np.ndarray, list]:
+    """a_0..a_N from T(0..N), T(m) = m R(m), overwriting t: float64 from a
+    float t, Fractions from ints and Fractions.  b_m = m a_m solves
+    (1 * u * b)(m) = s(m) = T(m) - T(m-1).  Raises ValueError, naming the RHS
+    label, when a float s(m) is not finite (m R(m) overflows), and
+    SingularKernelError when u_1 = 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t[1:] -= t[:-1].copy()  # t becomes s (T(0) = 0, so s(0) = 0)
+    if t.dtype != object:
+        bad = np.flatnonzero(~np.isfinite(t[1:]))
+        if len(bad):
+            raise ValueError("rhs %s: s(m) is not finite at m=%d" % (label, bad[0] + 1))
     if not u[1]:
         raise SingularKernelError(1)
-    divisor_pass(s, s, -1)  # s becomes c = mu * s = u * b
+    divisor_pass(t, t, -1)  # t becomes c = mu * s = u * b
     if u[1] != 1:
-        s /= u[1]
+        t /= u[1]
     if np.any(u[2:]):
         # b_m = c(m)/u_1 - sum_{d|m, d<m} (u_{m/d}/u_1) b_d
-        divisor_pass(s, s, -1, u / u[1])
-
-
-def _divisor_solve_float(r: np.ndarray, u: np.ndarray, label: str) -> np.ndarray:
-    """a_0..a_N in float64 from R(0..N), s(m) = m R(m) - (m-1) R(m-1) vectorised.
-
-    Raises ValueError when s(m) is not finite (m R(m) overflows although R
-    itself is finite), naming the RHS label.
-    """
-    n = np.arange(len(r), dtype=np.float64)
-    a = np.zeros(len(r), dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a[1:] = n[1:] * r[1:] - n[:-1] * r[:-1]
-    bad = np.flatnonzero(~np.isfinite(a[1:]))
-    if len(bad):
-        raise ValueError("rhs %s: s(m) is not finite at m=%d" % (label, bad[0] + 1))
-    _divisor_solve(a, u)  # b_m = m a_m
-    a[1:] /= n[1:]
-    return a
+        divisor_pass(t, t, -1, u / u[1])
+    if t.dtype == object:
+        return [Fraction(0)] + [
+            Fraction(v, m) if isinstance(v, int) else v / m for m, v in enumerate(t[1:].tolist(), 1)
+        ]
+    t[1:] /= np.arange(1, len(t))
+    return t
 
 
 # The separable loop reads its inputs as Python floats, converted this many
@@ -364,35 +355,6 @@ def _separable_solve_float(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.nd
     return a
 
 
-def _exact_s(rhs: RhsSpec, limit: int, l0: Optional[np.ndarray]) -> np.ndarray:
-    """s(m) = m R(m) - (m-1) R(m-1) as an object array: ints for delta and
-    beta in {0, 1}, Fractions otherwise.  Staying in ints is much faster.
-    l0 is the L0 table of an l0pow RHS (None otherwise)."""
-    s: list = [0] * (limit + 1)
-    if rhs.kind == "delta":
-        s[1] = 1
-        if limit >= 2:
-            s[2] = -1
-    elif rhs.kind in ("power", "l0pow"):
-        beta = int(rhs.beta)
-        for m in range(1, limit + 1):
-            if beta == 0:
-                hi: Union[int, Fraction] = m
-                lo: Union[int, Fraction] = m - 1
-            elif beta == 1:
-                hi, lo = 1, (0 if m == 1 else 1)
-            else:
-                hi = Fraction(1, m ** (beta - 1))
-                lo = 0 if m == 1 else Fraction(1, (m - 1) ** (beta - 1))
-            if rhs.kind == "l0pow":
-                if l0 is None:
-                    raise ValueError("l0pow rhs needs the L0 table to give s(%d)" % m)
-                hi *= int(l0[m])
-                lo *= int(l0[m - 1]) if m >= 2 else 0
-            s[m] = hi - lo
-    return np.array(s, dtype=object)
-
-
 def _solve_generic_float(
     kernel: Kernel, r: np.ndarray, limit: int, h: Optional[np.ndarray]
 ) -> np.ndarray:
@@ -417,11 +379,10 @@ def _solve_generic_float(
     return a
 
 
-def _spot_check(coeffs: Coefficients, generic: bool, l0, rfl) -> None:
+def _spot_check(coeffs: Coefficients, generic: bool) -> None:
     """Post-solve checks: a_1, then verify_residuals at n = limit, or on its
     default sample after a generic solve, which builds each row on its own,
-    so a wrong row below the last one can occur there.  l0 and rfl are the
-    L0 table and float R array the solve already built (see _residual_rhs).
+    so a wrong row below the last one can occur there.
 
     Raises:
         VerificationError: either check fails (a NaN residual fails too).
@@ -432,21 +393,11 @@ def _spot_check(coeffs: Coefficients, generic: bool, l0, rfl) -> None:
             raise VerificationError("a_1 != 1 on exact backend")
     elif g11 == 1.0 and not abs(coeffs.values[1] - 1.0) < 1e-12:
         raise VerificationError("a_1 = %g, expected 1" % coeffs.values[1])
-    worst = _verify_residuals(coeffs, None if generic else [coeffs.limit], l0, rfl)
+    worst = verify_residuals(coeffs, None if generic else [coeffs.limit])
     if not worst <= 1.0:
         raise VerificationError(
             "post-solve residual check: worst |residual|/tolerance %g" % worst
         )
-
-
-def _residual_rhs(coeffs: Coefficients):
-    """(l0, R) for _residual: the L0 table (l0pow only) and, on the float
-    backend, the float R array, as solve() builds them; built once per
-    caller, and handed over by solve() itself to its post-solve check."""
-    l0 = _rhs_l0(coeffs.rhs, coeffs.limit)
-    if coeffs.backend == "exact":
-        return l0, None
-    return l0, coeffs.rhs.values_float(coeffs.limit, l0)
 
 
 def _exact_sum(p: np.ndarray) -> float:
@@ -480,18 +431,22 @@ def _exact_sum(p: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def _residual(coeffs: Coefficients, n: int, l0, rfl):
-    """sum_{k<=n} a_k G(n,k) - R(n), with l0 and R from _residual_rhs."""
-    if not (1 <= n <= coeffs.limit):
+def _residuals(coeffs: Coefficients, ns: Sequence[int]):
+    """(sum_{k<=n} a_k G(n,k) - R(n), R(n)) for each n of ns, with R read once,
+    at those n: RhsSpec.r_float, or T(n)/n from RhsSpec.t_exact."""
+    if not all(1 <= n <= coeffs.limit for n in ns):
         raise IndexError("n outside solved range")
+    at = np.asarray(ns, dtype=np.int64)
     if coeffs.backend == "exact":
-        acc = Fraction(0)
-        for k in range(1, n + 1):
+        for n, t in zip(ns, coeffs.rhs.t_exact(at)):
+            rn = Fraction(t, n)
             # a_k * (k*floor(n/k))/n, all exact
-            acc += coeffs.values[k] * Fraction(k * (n // k), n)
-        return acc - coeffs.rhs.value_exact(n, l0)
-    row = coeffs.kernel.eval_row(n, np.arange(1, n + 1, dtype=np.int64))
-    return _exact_sum(row * coeffs.values[1 : n + 1]) - rfl[n]
+            acc = sum(coeffs.values[k] * Fraction(k * (n // k), n) for k in range(1, n + 1))
+            yield acc - rn, rn
+        return
+    for n, rn in zip(ns, coeffs.rhs.r_float(at)):
+        row = coeffs.kernel.eval_row(n, np.arange(1, n + 1, dtype=np.int64))
+        yield _exact_sum(row * coeffs.values[1 : n + 1]) - rn, rn
 
 
 def residual(coeffs: Coefficients, n: int):
@@ -501,36 +456,31 @@ def residual(coeffs: Coefficients, n: int):
     sums the row correctly rounded, bit for bit what math.fsum gives, by
     error-free vector extraction (_exact_sum), so the report is trustworthy.
     """
-    return _residual(coeffs, n, *_residual_rhs(coeffs))
+    return next(_residuals(coeffs, [n]))[0]
 
 
 def verify_residuals(coeffs: Coefficients, ns: Optional[Sequence[int]] = None) -> float:
     """Check the residual invariant on a set of n; returns the worst |residual|
     relative to its tolerance 1e-9*max(1,|R(n)|)*n (<= 1 means pass; a NaN
-    residual or a nonzero exact one gives inf, a passing exact run 0.0).
+    residual or a nonzero exact one gives inf, a passing exact run 0.0);
+    R is read once, at the sampled n only.
 
     Default sample: all n <= 64, then a geometric sweep (ratio 1.5) up to
     the limit.
     """
-    return _verify_residuals(coeffs, ns, *_residual_rhs(coeffs))
-
-
-def _verify_residuals(coeffs: Coefficients, ns: Optional[Sequence[int]], l0, rfl) -> float:
-    """verify_residuals with the L0 table and float R array given."""
     if ns is None:
         ns = sorted(
             set(range(1, min(coeffs.limit, 64) + 1))
             | {min(coeffs.limit, int(round(64 * 1.5**j))) for j in range(64)}
         )
-        ns = [n for n in ns if n <= coeffs.limit]
+    ns = list(ns)
     worst = 0.0
-    for n in ns:
-        res = _residual(coeffs, n, l0, rfl)
+    for n, (res, rn) in zip(ns, _residuals(coeffs, ns)):
         if coeffs.backend == "exact":
             if res != 0:
                 return math.inf
             continue
-        ratio = abs(res) / (1e-9 * max(1.0, abs(rfl[n])) * n)
+        ratio = abs(res) / (1e-9 * max(1.0, abs(rn)) * n)
         if math.isnan(ratio):
             return math.inf
         worst = max(worst, ratio)

@@ -120,15 +120,19 @@ def test_overflowing_rhs_is_usage_error_also_under_python_O(capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--rhs", "power:-51", "--n", "1000000"],
     ["solve", "--kernel", "genin:1,-1", "--rhs", "power:-51", "--n", "1000000"],
+    ["solve", "--kernel", "affine:0.5", "--rhs", "power:-102", "--n", "1000"],
 ])
 def test_overflowing_s_is_usage_error_also_under_python_O(capsys, argv):
     # R(n) = n^51 is finite up to 10^6 but m R(m) is not from m ~ 8.5e5 on;
-    # this printed two RuntimeWarnings and exited 1 on an inf residual
+    # this printed two RuntimeWarnings and exited 1 on an inf residual.  On
+    # the separable path R(n) = n^102 is finite up to 1000 but a_n is not,
+    # which exited 1 on an inf residual too
+    what = "a_n is not finite at n=" if "affine:0.5" in argv else "s(m) is not finite at m="
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run(capsys, argv)
     assert rc == 2 and out == ""
-    assert err.startswith("error: rhs power:-51: s(m) is not finite at m=")
+    assert err.startswith("error: rhs %s: %s" % (argv[argv.index("--rhs") + 1], what))
     assert len(err.splitlines()) == 1
 
     proc = run_python_O(argv)

@@ -356,7 +356,7 @@ def test_verify_residuals_matches_public_residual(kern, rhs, limit):
     c = solve(kern, rhs, limit)
     sample = sorted(set(range(1, min(limit, 64) + 1))
                     | {min(limit, int(round(64 * 1.5**j))) for j in range(64)})
-    r = rhs.values_float(limit)
+    r = rhs.r_float(np.arange(limit + 1))
     expect = max(abs(residual(c, n)) / (1e-9 * max(1.0, abs(r[n])) * n) for n in sample)
     assert verify_residuals(c) == expect
     assert verify_residuals(c, [limit, 7]) == max(
@@ -426,6 +426,8 @@ def test_residual_index_errors():
         residual(c, 0)
     with pytest.raises(IndexError):
         residual(c, 51)
+    with pytest.raises(IndexError):  # past int64 too
+        residual(c, 10**20)
 
 
 # ---------------------------------------------------------------- partial sums
@@ -490,8 +492,50 @@ def test_l0_three_smooth_hand_values():
     assert set(d.tolist()) <= {0, 1}
 
 
-def test_l0pow_exact_value_needs_the_l0_table():
-    rhs = RhsSpec("l0pow", 2.0)
-    assert rhs.value_exact(6, l0_three_smooth(6)) == Fraction(5, 36)
-    with pytest.raises(ValueError, match="L0 table"):
-        rhs.value_exact(6)
+def _l0_brute(m):
+    """#{2^a 3^b <= m}, counted directly."""
+    return sum(1 for a in range(m.bit_length()) for b in range(m.bit_length())
+               if 2**a * 3**b <= m)
+
+
+@pytest.mark.parametrize("kind", ["power", "l0pow", "delta"])
+@pytest.mark.parametrize("beta", [0, 1, 2, 3])
+def test_t_exact_is_m_times_r(kind, beta):
+    # T(m) = m R(m) from first principles, at every m <= 200 (m = 0 too) and
+    # on a shuffled subset, which builds its own L0 table
+    rhs = RhsSpec(kind, float(beta))
+    ms = np.arange(201)
+    t = rhs.t_exact(ms)
+    for m in range(201):
+        if kind == "delta":
+            r = Fraction(int(m == 1))
+        else:
+            r = Fraction(1, m**beta) * (_l0_brute(m) if kind == "l0pow" else 1) if m else 0
+        assert t[m] == m * r, m
+        if kind == "delta" or beta <= 1:
+            assert type(t[m]) is int, m
+    sub = np.random.default_rng(beta).permutation(201)[:37]
+    assert list(rhs.t_exact(sub)) == [t[m] for m in sub]
+
+
+def test_t_exact_refuses_non_integer_beta():
+    for kind in ("power", "l0pow"):
+        with pytest.raises(ValueError, match="integer beta"):
+            RhsSpec(kind, 0.5).t_exact(np.arange(10))
+
+
+@pytest.mark.parametrize("rhs", [
+    RhsSpec("power", 0.9815), RhsSpec("power", 0.5), RhsSpec("power", 2.0),
+    RhsSpec("power", 0.0), RhsSpec("power", -1.0), RhsSpec("power", -2.5),
+    RhsSpec("power", -51.0), RhsSpec("l0pow", 0.9), RhsSpec("l0pow", 1.0), RhsSpec("delta"),
+])
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 88])
+def test_r_float_at_a_subset_is_the_full_table(rhs, size):
+    # the residual checks read R at their own n only; those reads must be
+    # the bits a solve gets from R over 0..N, whatever SIMD lane n falls in
+    n = 100_000
+    full = rhs.r_float(np.arange(n + 1))
+    rng = np.random.default_rng(size)
+    for ns in (rng.integers(0, n + 1, size), np.sort(rng.choice(n + 1, size, replace=False)),
+               np.arange(n + 1 - size, n + 1)):
+        assert rhs.r_float(ns).tobytes() == full[ns].tobytes()
