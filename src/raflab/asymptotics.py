@@ -27,7 +27,7 @@ import numpy as np
 
 from .kernels import Kernel, UnsupportedKernelError
 from .mellin import PoleError, RegionError, closed_transform, zeta
-from .sieve import MobiusTable, primes_upto
+from .sieve import SIEVE_BLOCK, MobiusTable, primes_upto
 from .solver import Coefficients, PartialSumSeries, RhsSpec, partial_sums, solve
 
 VERDICT_MATCH = "asymptotic_match"
@@ -447,8 +447,10 @@ def jordan_partial_check(table: MobiusTable, beta: float, limit: int) -> JordanR
 
 
 def mertens_ratio_report(table: MobiusTable, limit: int, start: int = 2) -> MertensReport:
-    """max over start <= x <= limit of |M(x)|/sqrt(x) and its argmax.
+    """max over start <= x <= limit of |M(x)|/sqrt(x) and its first argmax.
 
+    Scanned in blocks of SIEVE_BLOCK, so nothing limit-long is allocated; a
+    later block replaces the maximum only when it beats it strictly.
     limit=1 degenerates to the x=1 ratio M(1)/1 = 1.
     """
     if limit < 1 or limit > table.limit:
@@ -457,7 +459,14 @@ def mertens_ratio_report(table: MobiusTable, limit: int, start: int = 2) -> Mert
         return MertensReport(limit=1, max_ratio=1.0, argmax_x=1)
     if start < 2 or start > limit:
         raise ValueError("start outside [2, limit]")
-    xs = np.arange(start, limit + 1, dtype=np.float64)
-    ratios = np.abs(table.mertens[start : limit + 1]) / np.sqrt(xs)
-    i = int(np.argmax(ratios))
-    return MertensReport(limit=limit, max_ratio=float(ratios[i]), argmax_x=i + start)
+    best, argmax = -1.0, start
+    buf = np.empty(min(SIEVE_BLOCK, limit + 1 - start))
+    for lo in range(start, limit + 1, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, limit + 1)
+        ratios = buf[: hi - lo]
+        np.sqrt(np.arange(lo, hi, dtype=np.float64), out=ratios)
+        np.divide(np.abs(table.mertens[lo:hi]), ratios, out=ratios)
+        i = int(np.argmax(ratios))
+        if ratios[i] > best:
+            best, argmax = float(ratios[i]), lo + i
+    return MertensReport(limit=limit, max_ratio=best, argmax_x=argmax)

@@ -106,8 +106,11 @@ class CountSpec:
 
     @property
     def mu_limit(self) -> int:
-        """The mu range count_formula needs: p*n for prime_powers, P*n for
-        smooth (P the product of the primes), n for every other kind."""
+        """The mu range count_formula needs: floor(n^(1/p)) for p_free, p*n
+        for prime_powers, P*n for smooth (P the product of the primes), n
+        for every other kind."""
+        if self.kind == "p_free":
+            return _iroot(self.n, self.p)
         if self.kind == "prime_powers":
             return self.p * self.n
         if self.kind == "smooth":

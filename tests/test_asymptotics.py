@@ -20,6 +20,7 @@ from raflab.asymptotics import (
     regime_check,
 )
 from raflab.kernels import Ingham
+from raflab.sieve import SIEVE_BLOCK, MobiusTable
 from raflab.solver import PartialSumSeries, RhsSpec, partial_sums, solve
 
 
@@ -239,3 +240,20 @@ def test_mertens_ratio_from_start(table_small):
     ratios = np.abs(table_small.mertens[100:]) / np.sqrt(xs)
     assert tail.max_ratio == ratios.max()
     assert tail.argmax_x == xs[np.argmax(ratios)]
+
+
+@pytest.mark.parametrize("start", [2, 10_000])
+def test_mertens_ratio_tie_across_blocks_keeps_first_x(start):
+    # |M(x)|/sqrt(x) is exactly 3 at x = 4^7 and at x = 4^10, which the scan
+    # reaches in different blocks; M is 0 everywhere else
+    x1, x2 = 4**7, 4**10
+    assert (x1 - start) // SIEVE_BLOCK < (x2 - start) // SIEVE_BLOCK
+    limit = x2 + 4
+    mertens = np.zeros(limit + 1, dtype=np.int64)
+    mertens[x1], mertens[x2] = 3 * 2**7, -3 * 2**10
+    table = MobiusTable(limit=limit, mu=np.zeros(limit + 1, dtype=np.int8), mertens=mertens)
+    rep = mertens_ratio_report(table, limit, start=start)
+    assert (rep.max_ratio, rep.argmax_x) == (3.0, x1)
+    mertens[x2] -= 2**10  # ratio 4 in the later block now wins
+    rep = mertens_ratio_report(table, limit, start=start)
+    assert (rep.max_ratio, rep.argmax_x) == (4.0, x2)

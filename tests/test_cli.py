@@ -491,6 +491,23 @@ def test_count_bad_what_is_usage_error(capsys):
     assert run(capsys, ["count", "--what", "banana"])[0] == 2
 
 
+def test_count_pfree_sieves_only_to_the_root(capsys, monkeypatch):
+    limits = []
+
+    def recording_sieve(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(raflab.cli, "sieve", recording_sieve)
+    # both counts agree with striking the multiples of p^2 directly
+    rc, out, _ = run(capsys, ["count", "--what", "pfree:2", "--n", "20000000"])
+    assert rc == 0 and out.strip() == "formula=12158575"
+    # n above MAX_SIEVE_LIMIT, yet the formula reads mu only to 17320
+    rc, out, err = run(capsys, ["count", "--what", "pfree:2", "--n", "300000000"])
+    assert rc == 0 and err == "" and out.strip() == "formula=182378126"
+    assert limits == [4472, 17320]
+
+
 # ----------------------------------------------------- jordan / mertens / hlr
 
 

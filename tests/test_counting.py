@@ -14,6 +14,7 @@ from raflab.counting import (
     ramanujan_l0_compare,
     smooth_bridge_scan,
 )
+from raflab.sieve import sieve
 from raflab.solver import l0_three_smooth
 
 
@@ -149,6 +150,17 @@ def test_formula_range_errors(table_small):
         count_formula(CountSpec("prime_powers", 600, p=2), table_small)  # needs mu to 1200
     with pytest.raises(ValueError):
         count_formula(CountSpec("smooth", 300, primes=(2, 3)), table_small)  # 6*300 > 1000
+    with pytest.raises(ValueError):
+        count_formula(CountSpec("p_free", 1002 * 1002, p=2), table_small)  # needs mu to 1002
+
+
+def test_p_free_reads_mu_only_to_the_pth_root():
+    spec = CountSpec("p_free", 20_000_000, p=2)
+    assert spec.mu_limit == 4472
+    # counted independently by striking the multiples of p^2, p <= 4472
+    assert count_formula(spec, sieve(4472)) == 12_158_575
+    assert CountSpec("p_free", 300_000_000, p=3).mu_limit == 669
+    assert CountSpec("p_free", 7, p=3).mu_limit == 1
 
 
 # ---------------------------------------------------------------- scans

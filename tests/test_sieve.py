@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import struct
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from raflab.asymptotics import mertens_ratio_report
 from raflab.sieve import (
     CapacityError,
     DIVISOR_PASS_K,
     MAX_SIEVE_LIMIT,
+    SIEVE_BLOCK,
     divisor_pass,
     load_cache,
     primes_upto,
@@ -67,6 +70,86 @@ def test_sieve_matches_trial_division(n):
     assert t.limit == n
     assert np.array_equal(t.mu, ref)
     assert np.array_equal(t.mertens, np.concatenate(([0], np.cumsum(ref[1:], dtype=np.int64))))
+
+
+def _whole_array_mu(n):
+    """mu by one int64 signed-product array over 0..n, with no blocks and
+    trial-division primes."""
+    val = np.ones(n + 1, dtype=np.int64)
+    for p in _primes(math.isqrt(n)):
+        val[p::p] *= -p
+        val[p * p :: p * p] = 0
+    mu = np.sign(val).astype(np.int8)
+    np.negative(mu, out=mu, where=np.abs(val) != np.arange(n + 1))
+    mu[0] = 0
+    return mu
+
+
+def _cumsum_mertens(mu):
+    return np.concatenate(([0], np.cumsum(mu[1:], dtype=np.int64)))
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 97, SIEVE_BLOCK - 1, SIEVE_BLOCK, SIEVE_BLOCK + 1, 2 * SIEVE_BLOCK + 7]
+)
+def test_blocked_sieve_matches_whole_array_sieve(n):
+    t = sieve(n)
+    assert t.mu.dtype == np.int8 and t.mertens.dtype == np.int64
+    assert np.array_equal(t.mu, _whole_array_mu(n))
+    assert np.array_equal(t.mertens, _cumsum_mertens(t.mu))
+
+
+def test_cache_roundtrip_across_blocks(tmp_path):
+    n = 2 * SIEVE_BLOCK + 7
+    t = sieve(n)
+    path = tmp_path / "sieve.bin"
+    save_cache(t, str(path))
+    for limit in (None, SIEVE_BLOCK + 1, n):
+        keep = n if limit is None else limit
+        loaded = load_cache(str(path), limit)
+        assert loaded.limit == keep
+        assert np.array_equal(loaded.mu, t.mu[: keep + 1])
+        assert np.array_equal(loaded.mertens, _cumsum_mertens(t.mu[: keep + 1]))
+    # a bad byte two blocks past a short prefix is still found
+    raw = bytearray(path.read_bytes())
+    raw[-3] = 7
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="outside"):
+        load_cache(str(path), 100)
+
+
+def _traced_peak(fn):
+    """fn's result and the most memory it held at once beyond what was
+    allocated before it ran, as tracemalloc sees it (numpy reports its
+    array buffers there)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_passes_allocate_nothing_n_long_beyond_the_outputs(tmp_path):
+    # the outputs take 9 bytes per entry (int8 mu, int64 mertens); the blocks
+    # add O(SIEVE_BLOCK) on top, however large N is.  At its peak a
+    # whole-array sieve holds 16 more bytes per entry, a whole-array load 9
+    # and a whole-array ratio scan 32.
+    n = 4 * SIEVE_BLOCK
+    bound = 9 * (n + 1) + 16 * SIEVE_BLOCK
+    t, peak = _traced_peak(lambda: sieve(n))
+    assert peak <= bound
+    path = str(tmp_path / "sieve.bin")
+    save_cache(t, path)
+    loaded, peak = _traced_peak(lambda: load_cache(path))
+    assert np.array_equal(loaded.mertens, t.mertens)
+    assert peak <= bound
+    # one float64 block buffer, one block temporary and numpy's cast
+    # buffers, against the 8n bytes of a single n-long float64 array
+    rep, peak = _traced_peak(lambda: mertens_ratio_report(t, n))
+    assert rep.argmax_x == 5
+    assert peak <= 2 * 8 * SIEVE_BLOCK + 2**18 < 8 * n
 
 
 def test_hand_rows(table_small):
