@@ -66,6 +66,14 @@ class Tolerances:
     const_tol: float = 0.05
     decay_slope_max: float = -0.35
 
+    def __post_init__(self) -> None:
+        for name in ("slope_tol_low", "slope_tol_high", "const_tol"):
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:
+                raise ValueError("%s must be finite and > 0, got %r" % (name, v))
+        if not math.isfinite(self.decay_slope_max):
+            raise ValueError("decay_slope_max must be finite, got %r" % (self.decay_slope_max,))
+
     def slope_tol(self, beta: float) -> float:
         if not math.isfinite(beta):
             return self.slope_tol_high

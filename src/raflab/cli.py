@@ -73,7 +73,6 @@ from .mellin import (
     RegionError,
     closed_transform,
     limit_transform,
-    limit_transform_wrt_f,
     phi_f_zeros,
 )
 from .sieve import MobiusTable, load_cache, save_cache, sieve
@@ -508,8 +507,6 @@ def _cmd_mellin(args: argparse.Namespace) -> Result:
     z = _parse_z(args.z)
     if args.method == "closed":
         tr = closed_transform(kernel, z)
-    elif isinstance(kernel, Scaled):
-        tr = limit_transform_wrt_f(kernel.base, kernel.f, z, args.n)
     else:
         tr = limit_transform(kernel, z, args.n)
     return Result(

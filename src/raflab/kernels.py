@@ -10,12 +10,34 @@ ratio (the x*floor(1/x) profile and its generalized version), the floor is
 computed by integer division of integers, never by flooring a float ratio —
 floating division is off-by-one-prone exactly at divisor points, where the
 counting identities need exactness.
+
+Each kernel declares its arithmetic Mellin transform
+G*(z) = lim_n (-z/n) sum_{k<=n} G(n,k) (k/n)^(-z-1): transform(z) is the
+closed form, pole-checked (PoleError within 1e-8 of a pole) with removable
+singularities patched, and mellin_sum(z, n) the defining sum at finite n.
+Closed forms:
+    x*floor(1/x)      z/(z-1) * zeta(1-z)            pole z=1, value 1 at 0
+    affine(lam)       lam + (1-lam) z/(z-1)          pole z=1, zero z=lam
+    log(lam)          1 - lam/z                      pole z=0, zero z=lam
+    disc(lam)         z/(z-1)*(lam^(z-1)-1)/(lam^z-1)
+                      poles 2*pi*i*k/ln lam (k!=0), removable at 0 and 1
+    rational          constant 1 (entire)
+A scaled kernel's transform is the f-relative one,
+G_f*(z) = lim f(n)^z sum_{k<=n} (f(k)^-z - f(k-1)^-z) g(f(k)/f(n)):
+    scaled ingham, f=q^x+1:
+                      (q^(2z) - 2 q^z + q)/(q - q^z)  poles z = 1 + 2*pi*i*k/ln q
+    scaled ingham, f=x^r:
+                      same as x*floor(1/x) (the f-relative transform is
+                      invariant under power rescaling)
+    f = identity:     the base kernel's transform
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +50,32 @@ class KernelDomainError(ValueError):
 
 class UnsupportedKernelError(TypeError):
     """Operation not defined for this kernel kind (e.g. scaling a non-FGV)."""
+
+
+class PoleError(ZeroDivisionError):
+    """Evaluation requested at (or within 1e-8 of) a pole."""
+
+
+@dataclass(frozen=True)
+class TransformResult:
+    """A transform value plus how it was obtained.
+
+    method is "closed" or "limit"; for "limit", n is the truncation and
+    value_2n the doubled-truncation value (raw, for convergence reports).
+    """
+
+    value: complex
+    method: str
+    n: Optional[int] = None
+    value_2n: Optional[complex] = None
+    note: str = ""
+
+
+_PATCH_RADIUS = 1e-8
+
+
+def _near(z: complex, w: complex, eps: float = _PATCH_RADIUS) -> bool:
+    return abs(z - w) < eps
 
 
 # --------------------------------------------------------------------------
@@ -133,6 +181,19 @@ class Kernel:
         depend on n+k alone."""
         return None
 
+    def transform(self, z: complex) -> TransformResult:
+        """Closed-form transform G*(z) at a finite complex z (see the table
+        in the module docstring); PoleError within 1e-8 of a pole."""
+        raise UnsupportedKernelError("no closed transform for kernel %s" % self.name)
+
+    def mellin_sum(self, z: complex, n: int) -> complex:
+        """The defining sum (-z/n) sum_{k<=n} G(n,k) (k/n)^(-z-1) at n."""
+        ks = np.arange(1, n + 1, dtype=np.int64)
+        row = self.eval_row(n, ks)
+        # (k/n)^(-z-1) = exp((-z-1) (ln k - ln n))
+        w = np.exp((-z - 1.0) * (np.log(ks) - math.log(n)))
+        return (-z / n) * complex(np.sum(row * w))
+
     def _check(self, n: int, k: int) -> None:
         if k < 1 or k > n:
             raise KernelDomainError("need 1 <= k <= n, got n=%d k=%d" % (n, k))
@@ -160,6 +221,15 @@ class Ingham(Kernel):
 
     def dirichlet_weights(self, limit: int) -> np.ndarray:
         return np.array([0.0, 1.0])  # u = delta: n*G(n,k)/k = floor(n/k)
+
+    def transform(self, z: complex) -> TransformResult:
+        from .mellin import zeta  # mellin imports this module
+
+        if _near(z, 1.0):
+            raise PoleError("transform pole at z = 1")
+        if abs(z) < _PATCH_RADIUS:
+            return TransformResult(1.0 + 0.0j, "closed", note="removable singularity at z=0 patched")
+        return TransformResult(z / (z - 1.0) * zeta(1.0 - z), "closed")
 
     def profile(self, t: float) -> float:
         if t == 1.0:
@@ -203,6 +273,11 @@ class Affine(Kernel):
     def profile_vec(self, t: np.ndarray) -> np.ndarray:
         return (1.0 - self.lam) * t + self.lam
 
+    def transform(self, z: complex) -> TransformResult:
+        if _near(z, 1.0):
+            raise PoleError("transform pole at z = 1")
+        return TransformResult(self.lam + (1.0 - self.lam) * z / (z - 1.0), "closed")
+
     def separable_factors(self, limit: int):
         # G(n,k) = lam*1 + ((1-lam)/n)*k; index 0 is unused
         n = np.arange(limit + 1, dtype=np.float64)
@@ -238,6 +313,11 @@ class LogKernel(Kernel):
 
     def profile_vec(self, t: np.ndarray) -> np.ndarray:
         return 1.0 - self.lam * np.log(t)
+
+    def transform(self, z: complex) -> TransformResult:
+        if abs(z) < _PATCH_RADIUS:
+            raise PoleError("transform pole at z = 0")
+        return TransformResult(1.0 - self.lam / z, "closed")
 
     def separable_factors(self, limit: int):
         # G(n,k) = (1 + lam*ln n)*1 + (-lam)*ln k; index 0 is unused
@@ -309,6 +389,26 @@ class Disc(Kernel):
         divisor_pass(u, u, -1)  # w becomes mu * w
         return u
 
+    def transform(self, z: complex) -> TransformResult:
+        lam = self.lam
+        lnl = math.log(lam)
+        # poles where lam^z = 1 with z != 0, i.e. z = 2*pi*i*k/ln(lam), k != 0
+        w = z * lnl
+        k_near = round(w.imag / (2.0 * math.pi))
+        if k_near != 0 and abs(w - 2j * math.pi * k_near) < _PATCH_RADIUS * lnl:
+            raise PoleError("transform pole at z = 2*pi*i*%d/ln(%g)" % (k_near, lam))
+        if abs(z) < _PATCH_RADIUS:
+            return TransformResult(
+                (1.0 - 1.0 / lam) / lnl + 0.0j, "closed", note="removable singularity at z=0 patched"
+            )
+        if _near(z, 1.0):
+            return TransformResult(
+                lnl / (lam - 1.0) + 0.0j, "closed", note="removable singularity at z=1 patched"
+            )
+        num = cmath.exp((z - 1.0) * lnl) - 1.0
+        den = cmath.exp(z * lnl) - 1.0
+        return TransformResult(z / (z - 1.0) * num / den, "closed")
+
     @property
     def spec(self) -> str:
         return "disc:%g" % self.lam
@@ -342,6 +442,9 @@ class RationalRaf(Kernel):
         # float ops on the same operands and matches it bit for bit
         s = np.arange(2 * limit + 1, dtype=np.float64)
         return (s + self.x) / (s + self.y)
+
+    def transform(self, z: complex) -> TransformResult:
+        return TransformResult(1.0 + 0.0j, "closed", note="constant transform")
 
     @property
     def spec(self) -> str:
@@ -426,6 +529,12 @@ class GeneralizedIngham(Kernel):
         head = np.dot(w[(j - 1) % len(w)], q // j)
         return float(head + np.dot(np.arange(1, len(ends)), u_ends[:-1] - u_ends[1:])) * t
 
+    def transform(self, z: complex) -> TransformResult:
+        raise UnsupportedKernelError(
+            "closed transform of the generalized floor-weight kernel needs "
+            "Dirichlet L-function data; use limit_transform"
+        )
+
     @property
     def spec(self) -> str:
         return "genin:" + ",".join("%g" % w for w in self.weights)
@@ -477,6 +586,60 @@ class Scaled(Kernel):
         # the profile of the *scaled* kernel is g composed with the f-ratio
         # structure; only the base profile is well-defined pointwise
         return self.base.profile(t)
+
+    def transform(self, z: complex) -> TransformResult:
+        f = self.f
+        if f.kind == "identity":
+            return self.base.transform(z)
+        if isinstance(self.base, Ingham):
+            if f.kind == "power":
+                res = self.base.transform(z)
+                return TransformResult(res.value, "closed", note="power rescaling balances")
+            lnq = math.log(f.q)
+            # poles where q^z = q: z = 1 + 2*pi*i*k/ln q
+            w = (z - 1.0) * lnq
+            k_near = round(w.imag / (2.0 * math.pi))
+            if abs(w - 2j * math.pi * k_near) < _PATCH_RADIUS * lnq:
+                raise PoleError("transform pole at z = 1 + 2*pi*i*%d/ln(%d)" % (k_near, f.q))
+            t = cmath.exp(z * lnq)  # q^z
+            return TransformResult((t * t - 2.0 * t + f.q) / (f.q - t), "closed")
+        raise UnsupportedKernelError(
+            "no closed transform for %s; use limit_transform_wrt_f" % self.spec
+        )
+
+    def mellin_sum(self, z: complex, n: int) -> complex:
+        """The f-relative sum at n,
+
+            f(n)^z sum_{k=1}^n (f(k)^-z - f(k-1)^-z) g(f(k)/f(n)),
+
+        with the f(n)^z factor folded into each summand so every exponential
+        has non-positive real part for Re z < 0: no overflow for any growth
+        rate of f.  f(0) follows the FSpec formula (0 for power/identity,
+        making the k=1 lower weight vanish; 2 for q^x+1)."""
+        f = self.f
+        if f.kind in ("identity", "power"):
+            r = 1.0 if f.kind == "identity" else f.r
+            ks = np.arange(1, n + 1, dtype=np.float64)
+            logf = r * np.log(ks)  # ln f(k), k = 1..n
+            logfn = logf[-1]
+            # folded weights: exp(z(L(n)-L(k))) - exp(z(L(n)-L(k-1))); L(0) = -inf
+            up = np.exp(z * (logfn - logf))
+            lo = np.empty_like(up)
+            lo[0] = 0.0  # f(0) = 0 and Re z < 0 kill the k=1 lower term
+            lo[1:] = up[:-1]
+            g = self.base.profile_vec(np.exp(logf - logfn))
+            return complex(np.sum((up - lo) * g))
+
+        # f(x) = q^x + 1: geometric decay away from k=n
+        logf = [f.log_value(k) for k in range(n + 1)]
+        g = self.eval_row(n, np.arange(1, n + 1)).tolist()
+        acc = 0.0 + 0.0j
+        prev_up = cmath.exp(z * (logf[n] - logf[0]))
+        for k in range(1, n + 1):
+            up = cmath.exp(z * (logf[n] - logf[k]))
+            acc += (up - prev_up) * g[k - 1]
+            prev_up = up
+        return acc
 
     @property
     def spec(self) -> str:

@@ -1,28 +1,16 @@
-"""Complex transforms of the kernel catalog, plus a self-contained zeta.
+"""Evaluation routes for the kernels' transforms, plus a self-contained zeta.
 
-Three evaluation routes for the arithmetic Mellin transform
-G*(z) = lim_n (-z/n) sum_{k<=n} G(n,k) (k/n)^(-z-1):
+Each kernel declares its own arithmetic Mellin transform (the closed forms
+are tabled in raflab.kernels); this module evaluates them:
 
-  * closed_transform  — the known closed forms (below), pole-checked,
-    with removable singularities patched;
+  * closed_transform  — the kernel's closed form, pole-checked, with
+    removable singularities patched;
   * limit_transform   — the raw defining sum at finite n (no
     extrapolation, so convergence claims stay falsifiable), valid for
-    Re z < 0;
-  * limit_transform_wrt_f — the f-relative Stieltjes variant
-    G_f*(z) = lim f(n)^z sum_{k<=n} (f(k)^-z - f(k-1)^-z) g(f(k)/f(n)).
-
-Closed forms implemented:
-    x*floor(1/x)      z/(z-1) * zeta(1-z)            pole z=1, value 1 at 0
-    affine(lam)       lam + (1-lam) z/(z-1)          pole z=1, zero z=lam
-    log(lam)          1 - lam/z                      pole z=0, zero z=lam
-    disc(lam)         z/(z-1)*(lam^(z-1)-1)/(lam^z-1)
-                      poles 2*pi*i*k/ln lam (k!=0), removable at 0 and 1
-    rational          constant 1 (entire)
-    scaled ingham, f=q^x+1:
-                      (q^(2z) - 2 q^z + q)/(q - q^z)  poles z = 1 + 2*pi*i*k/ln q
-    scaled ingham, f=x^r:
-                      same as x*floor(1/x) (the f-relative transform is
-                      invariant under power rescaling)
+    Re z < 0; for a scaled kernel, the f-relative Stieltjes variant
+    G_f*(z) = lim f(n)^z sum_{k<=n} (f(k)^-z - f(k-1)^-z) g(f(k)/f(n));
+  * limit_transform_wrt_f — the same f-relative limit for a base kernel
+    and a rescaling f.
 
 zeta uses Euler-Maclaurin with K=10 Bernoulli correction terms and a
 truncation point M chosen adaptively from the first-omitted-term bound,
@@ -38,29 +26,21 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .kernels import (
-    Affine,
-    Disc,
+from .kernels import (  # PoleError, TransformResult and _PATCH_RADIUS are re-exported
+    _PATCH_RADIUS,
     FSpec,
-    GeneralizedIngham,
     Ingham,
     Kernel,
-    LogKernel,
-    RationalRaf,
+    PoleError,
     Scaled,
-    UnsupportedKernelError,
+    TransformResult,
 )
 from .solver import VerificationError
-
-
-class PoleError(ZeroDivisionError):
-    """Evaluation requested at (or within 1e-8 of) a pole."""
 
 
 class RegionError(ValueError):
@@ -72,21 +52,6 @@ def _check_finite(z: complex, what: str = "z") -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("%s must have finite components" % what)
     return z
-
-
-@dataclass(frozen=True)
-class TransformResult:
-    """A transform value plus how it was obtained.
-
-    method is "closed" or "limit"; for "limit", n is the truncation and
-    value_2n the doubled-truncation value (raw, for convergence reports).
-    """
-
-    value: complex
-    method: str
-    n: Optional[int] = None
-    value_2n: Optional[complex] = None
-    note: str = ""
 
 
 # --------------------------------------------------------------------------
@@ -172,124 +137,23 @@ def zeta(s: complex) -> complex:
 
 
 # --------------------------------------------------------------------------
-# closed forms
+# closed form and defining limit
 # --------------------------------------------------------------------------
-
-_PATCH_RADIUS = 1e-8
-
-
-def _near(z: complex, w: complex, eps: float = _PATCH_RADIUS) -> bool:
-    return abs(z - w) < eps
-
-
-def _ingham_closed(z: complex) -> TransformResult:
-    if _near(z, 1.0):
-        raise PoleError("transform pole at z = 1")
-    if abs(z) < _PATCH_RADIUS:
-        return TransformResult(1.0 + 0.0j, "closed", note="removable singularity at z=0 patched")
-    val = z / (z - 1.0) * zeta(1.0 - z)
-    return TransformResult(val, "closed")
-
-
-def _affine_closed(lam: float, z: complex) -> TransformResult:
-    if _near(z, 1.0):
-        raise PoleError("transform pole at z = 1")
-    return TransformResult(lam + (1.0 - lam) * z / (z - 1.0), "closed")
-
-
-def _log_closed(lam: float, z: complex) -> TransformResult:
-    if abs(z) < _PATCH_RADIUS:
-        raise PoleError("transform pole at z = 0")
-    return TransformResult(1.0 - lam / z, "closed")
-
-
-def _disc_closed(lam: float, z: complex) -> TransformResult:
-    lnl = math.log(lam)
-    # poles where lam^z = 1 with z != 0, i.e. z = 2*pi*i*k/ln(lam), k != 0
-    w = z * lnl
-    k_near = round(w.imag / (2.0 * math.pi))
-    if k_near != 0 and abs(w - 2j * math.pi * k_near) < _PATCH_RADIUS * lnl:
-        raise PoleError("transform pole at z = 2*pi*i*%d/ln(%g)" % (k_near, lam))
-    if abs(z) < _PATCH_RADIUS:
-        return TransformResult(
-            (1.0 - 1.0 / lam) / lnl + 0.0j, "closed", note="removable singularity at z=0 patched"
-        )
-    if _near(z, 1.0):
-        return TransformResult(
-            lnl / (lam - 1.0) + 0.0j, "closed", note="removable singularity at z=1 patched"
-        )
-    num = cmath.exp((z - 1.0) * lnl) - 1.0
-    den = cmath.exp(z * lnl) - 1.0
-    return TransformResult(z / (z - 1.0) * num / den, "closed")
-
-
-def _scaled_exp_closed(q: int, z: complex) -> TransformResult:
-    lnq = math.log(q)
-    # poles where q^z = q: z = 1 + 2*pi*i*k/ln q
-    w = (z - 1.0) * lnq
-    k_near = round(w.imag / (2.0 * math.pi))
-    if abs(w - 2j * math.pi * k_near) < _PATCH_RADIUS * lnq:
-        raise PoleError("transform pole at z = 1 + 2*pi*i*%d/ln(%d)" % (k_near, q))
-    t = cmath.exp(z * lnq)  # q^z
-    return TransformResult((t * t - 2.0 * t + q) / (q - t), "closed")
 
 
 def closed_transform(kernel: Kernel, z: complex) -> TransformResult:
     """Closed-form transform of kernel at z; PoleError within 1e-8 of a pole.
 
-    Scaled kernels evaluate the f-relative transform: invariant under
-    f(x)=x^r (power rescaling balances), the explicit rational-in-q^z
-    formula for f(x)=q^x+1.  The generalized floor-weight kernel has no
-    closed form here (it needs Dirichlet L-function data) — use
-    limit_transform.
+    Scaled kernels evaluate the f-relative transform.  A kernel with no
+    closed form here (the generalized floor-weight kernel needs Dirichlet
+    L-function data) raises UnsupportedKernelError — use limit_transform.
     """
-    z = _check_finite(z)
-    if isinstance(kernel, Ingham):
-        return _ingham_closed(z)
-    if isinstance(kernel, Affine):
-        return _affine_closed(kernel.lam, z)
-    if isinstance(kernel, LogKernel):
-        return _log_closed(kernel.lam, z)
-    if isinstance(kernel, Disc):
-        return _disc_closed(kernel.lam, z)
-    if isinstance(kernel, RationalRaf):
-        return TransformResult(1.0 + 0.0j, "closed", note="constant transform")
-    if isinstance(kernel, Scaled):
-        f = kernel.f
-        if f.kind == "identity":
-            return closed_transform(kernel.base, z)
-        if isinstance(kernel.base, Ingham):
-            if f.kind == "exp_plus_one":
-                return _scaled_exp_closed(f.q, z)
-            if f.kind == "power":
-                res = _ingham_closed(z)
-                return TransformResult(res.value, "closed", note="power rescaling balances")
-        raise UnsupportedKernelError(
-            "no closed transform for %s; use limit_transform_wrt_f" % kernel.spec
-        )
-    if isinstance(kernel, GeneralizedIngham):
-        raise UnsupportedKernelError(
-            "closed transform of the generalized floor-weight kernel needs "
-            "Dirichlet L-function data; use limit_transform"
-        )
-    raise UnsupportedKernelError("no closed transform for kernel %s" % kernel.name)
-
-
-# --------------------------------------------------------------------------
-# defining-limit evaluation
-# --------------------------------------------------------------------------
-
-
-def _limit_sum(kernel: Kernel, z: complex, n: int) -> complex:
-    ks = np.arange(1, n + 1, dtype=np.int64)
-    row = kernel.eval_row(n, ks)
-    # (k/n)^(-z-1) = exp((-z-1) (ln k - ln n))
-    w = np.exp((-z - 1.0) * (np.log(ks) - math.log(n)))
-    return (-z / n) * complex(np.sum(row * w))
+    return kernel.transform(_check_finite(z))
 
 
 def limit_transform(kernel: Kernel, z: complex, n: int) -> TransformResult:
-    """Finite-n value of the defining sum (-z/n) sum G(n,k)(k/n)^(-z-1).
+    """Finite-n value of the kernel's defining sum: (-z/n) sum G(n,k)(k/n)^(-z-1),
+    or for a scaled kernel the f-relative sum (Scaled.mellin_sum).
 
     Re z < 0 (convergence region), n >= 10.  Raw truncations at n and 2n
     are both reported; no extrapolation is applied.
@@ -299,76 +163,20 @@ def limit_transform(kernel: Kernel, z: complex, n: int) -> TransformResult:
         raise RegionError("limit transform defined for Re z < 0, got Re z = %g" % z.real)
     if n < 10:
         raise ValueError("truncation n must be >= 10")
-    v1 = _limit_sum(kernel, z, n)
-    v2 = _limit_sum(kernel, z, 2 * n)
+    v1 = kernel.mellin_sum(z, n)
+    v2 = kernel.mellin_sum(z, 2 * n)
     return TransformResult(
         v1, "limit", n=n, value_2n=v2, note="|F(2n)-F(n)| = %.3g" % abs(v2 - v1)
     )
 
 
 def limit_transform_wrt_f(kernel: Kernel, f: FSpec, z: complex, n: int) -> TransformResult:
-    """f-relative transform at truncation n (and 2n):
-
-        f(n)^z sum_{k=1}^n (f(k)^-z - f(k-1)^-z) g(f(k)/f(n)),
-
-    where g is the kernel's profile.  The f(n)^z factor is folded into
-    each summand so every exponential has non-positive real part — no
-    overflow for any growth rate of f.  f(0) follows the FSpec formula
-    (0 for power/identity, making the k=1 lower weight vanish; 2 for
-    q^x+1).  For f = q^x+1 with the x*floor(1/x) kernel the floor is
-    taken on exact integers; convergence is geometric and n = 60 already
-    gives ~1e-8.
+    """f-relative transform of an FGV kernel at truncation n (and 2n):
+    limit_transform of Scaled(kernel, f).  For f = q^x+1 convergence is
+    geometric and n = 60 already gives ~1e-8.
     """
     z = _check_finite(z)
-    if not kernel.is_fgv:
-        raise UnsupportedKernelError(
-            "f-relative transform needs an FGV kernel, got %s" % kernel.name
-        )
-    if z.real >= 0:
-        raise RegionError("f-relative transform defined for Re z < 0, got Re z = %g" % z.real)
-    if n < 10:
-        raise ValueError("truncation n must be >= 10")
-    v1 = _wrt_f_sum(kernel, f, z, n)
-    v2 = _wrt_f_sum(kernel, f, z, 2 * n)
-    return TransformResult(
-        v1, "limit", n=n, value_2n=v2, note="|F(2n)-F(n)| = %.3g" % abs(v2 - v1)
-    )
-
-
-def _wrt_f_sum(kernel: Kernel, f: FSpec, z: complex, n: int) -> complex:
-    if f.kind in ("identity", "power"):
-        r = 1.0 if f.kind == "identity" else f.r
-        ks = np.arange(1, n + 1, dtype=np.float64)
-        logf = r * np.log(ks)  # ln f(k), k = 1..n
-        logfn = logf[-1]
-        # folded weights: exp(z(L(n)-L(k))) - exp(z(L(n)-L(k-1))); L(0) = -inf
-        up = np.exp(z * (logfn - logf))
-        lo = np.empty_like(up)
-        lo[0] = 0.0  # f(0) = 0 and Re z < 0 kill the k=1 lower term
-        lo[1:] = up[:-1]
-        g = kernel.profile_vec(np.exp(logf - logfn))
-        return complex(np.sum((up - lo) * g))
-
-    # f(x) = q^x + 1: exact integer values, geometric decay away from k=n
-    q = f.q
-    fv = [q**k + 1 for k in range(n + 1)]
-    fv[0] = 2
-    logf2 = [f.log_value(k) for k in range(n + 1)]
-    logfn2 = logf2[n]
-    exact_floor = isinstance(kernel, Ingham)
-    acc = 0.0 + 0.0j
-    prev_up = cmath.exp(z * (logfn2 - logf2[0]))
-    for k in range(1, n + 1):
-        up = cmath.exp(z * (logfn2 - logf2[k]))
-        w = up - prev_up
-        prev_up = up
-        if exact_floor:
-            mq = fv[n] // fv[k]
-            g = float(Fraction(mq * fv[k], fv[n]))
-        else:
-            g = kernel.profile(math.exp(logf2[k] - logfn2))
-        acc += w * g
-    return acc
+    return limit_transform(Scaled(kernel, f), z, n)
 
 
 # --------------------------------------------------------------------------

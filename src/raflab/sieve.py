@@ -163,7 +163,7 @@ def save_cache(table: MobiusTable, path: str) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_CACHE_MAGIC)
             fh.write(struct.pack("<Q", table.limit))
-            fh.write(table.mu.astype(np.int8))
+            fh.write(np.asarray(table.mu, dtype=np.int8))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -160,6 +160,15 @@ def test_unsolvable_solver_input_is_usage_error(capsys, argv):
     ["solve", "--kernel", "ratraf:inf,1", "--n", "100"],
     ["solve", "--kernel", "genin:inf", "--n", "100"],
     ["solve", "--kernel", "genin:1,nan", "--n", "100"],
+    # a nan or non-positive tolerance gave power_mismatch with exit 0 (scan)
+    # or an index bracket failure with exit 1 (index)
+    ["scan", "--kernel", "ingham", "--n", "2000", "--betas", "0.25", "--slope-tol", "nan"],
+    ["scan", "--kernel", "ingham", "--n", "2000", "--betas", "0.25", "--const-tol", "nan"],
+    ["scan", "--kernel", "ingham", "--n", "2000", "--betas", "0.25", "--const-tol", "inf"],
+    ["index", "--n", "20000", "--slope-tol", "nan"],
+    ["scan", "--kernel", "ingham", "--n", "2000", "--betas", "0.25", "--const-tol", "-1"],
+    ["scan", "--kernel", "ingham", "--n", "2000", "--betas", "0.25", "--slope-tol", "-1"],
+    ["index", "--n", "20000", "--slope-tol", "0"],
 ])
 def test_nonfinite_input_is_usage_error(capsys, argv):
     rc, out, err = run(capsys, argv)
@@ -320,6 +329,7 @@ B = SOLVE_CSV_BLOCK
     ("disc:2", "power:1.5", 4 * B + 1, "float"),
     ("ingham", "power:2", 4 * B + 1, "exact"),
     ("ingham", "delta", 4 * B + 1, "exact"),
+    ("ingham", "power:0.9815", 10**6, "float"),  # the ingham-1e6 solve
 ])
 def test_solve_csv_bytes_match_per_row_writer(capsys, tmp_path, kernel, rhs, n, backend):
     out_path = tmp_path / "coef.csv"

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,6 +224,35 @@ def test_wrt_f_identity_matches_plain_limit():
     a = limit_transform_wrt_f(Ingham(), FSpec("identity"), -1.0, 2000).value
     want = closed_transform(Ingham(), -1.0).value
     assert abs(a - want) <= 0.01 * abs(want)
+
+
+@pytest.mark.parametrize("f", [FSpec("exp_plus_one", q=2), FSpec("exp_plus_one", q=3),
+                               FSpec("power", r=0.5), FSpec("identity")])
+@pytest.mark.parametrize("base", [Ingham(), Affine(0.3), Disc(2.0)])
+def test_limit_transform_of_a_scaled_kernel_is_the_f_relative_limit(base, f):
+    for z in (-1.0, -0.5 + 2j):
+        got = limit_transform(Scaled(base, f), z, 40)
+        want = limit_transform_wrt_f(base, f, z, 40)
+        assert (got.value, got.value_2n, got.note) == (want.value, want.value_2n, want.note)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_exp_wrt_f_sum_floors_exact_integers(q):
+    # the q^x+1 sum reads g(f(k)/f(n)) from Scaled.eval_row; this reference
+    # takes the floor on exact integers and rounds the exact ratio once
+    f = FSpec("exp_plus_one", q=q)
+    z = -0.75 + 1.5j
+    for n in (10, 60, 150):
+        logf = [f.log_value(k) for k in range(n + 1)]
+        fn = q**n + 1
+        acc = 0.0 + 0.0j
+        prev = cmath.exp(z * (logf[n] - logf[0]))
+        for k in range(1, n + 1):
+            up = cmath.exp(z * (logf[n] - logf[k]))
+            fk = q**k + 1
+            acc += (up - prev) * float(Fraction((fn // fk) * fk, fn))
+            prev = up
+        assert Scaled(Ingham(), f).mellin_sum(z, n) == acc
 
 
 def test_wrt_f_validation():

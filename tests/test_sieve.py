@@ -1,10 +1,10 @@
 import functools
+import io
 import math
 import os
 import struct
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,7 +90,7 @@ def _cumsum_mertens(mu):
 
 
 @pytest.mark.parametrize(
-    "n", [1, 2, 3, 97, SIEVE_BLOCK - 1, SIEVE_BLOCK, SIEVE_BLOCK + 1, 2 * SIEVE_BLOCK + 7]
+    "n", [1, 2, 3, 97, SIEVE_BLOCK - 1, SIEVE_BLOCK, SIEVE_BLOCK + 1, 2 * SIEVE_BLOCK + 7, 10**7]
 )
 def test_blocked_sieve_matches_whole_array_sieve(n):
     t = sieve(n)
@@ -141,7 +141,9 @@ def test_blocked_passes_allocate_nothing_n_long_beyond_the_outputs(tmp_path):
     t, peak = _traced_peak(lambda: sieve(n))
     assert peak <= bound
     path = str(tmp_path / "sieve.bin")
-    save_cache(t, path)
+    # mu is written from its own int8 buffer, not from an n + 1 byte copy
+    _, peak = _traced_peak(lambda: save_cache(t, path))
+    assert peak < n + 1
     loaded, peak = _traced_peak(lambda: load_cache(path))
     assert np.array_equal(loaded.mertens, t.mertens)
     assert peak <= bound
@@ -263,17 +265,21 @@ def test_cache_rejects_truncated(tmp_path, table_small):
             load_cache(str(path))
 
 
-def test_failed_save_keeps_old_cache(tmp_path, table_small):
+def test_failed_save_keeps_old_cache(tmp_path, table_small, monkeypatch):
     path = tmp_path / "sieve.bin"
     save_cache(table_small, str(path))
     before = path.read_bytes()
+    header = len(before) - (table_small.limit + 1)
 
-    class FailingMu:
-        def astype(self, dtype):
-            raise OSError("disk full")  # after the header is written
+    class FullDisk(io.FileIO):
+        def write(self, b):
+            if self.tell() >= header:  # the mu bytes, after the header
+                raise OSError("disk full")
+            return super().write(b)
 
+    monkeypatch.setitem(save_cache.__globals__, "open", FullDisk)
     with pytest.raises(OSError, match="disk full"):
-        save_cache(SimpleNamespace(limit=table_small.limit, mu=FailingMu()), str(path))
+        save_cache(table_small, str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["sieve.bin"]
 
