@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .sieve import divisor_pass
+from .sieve import SIEVE_BLOCK, divisor_pass
 
 
 class KernelDomainError(ValueError):
@@ -187,12 +188,25 @@ class Kernel:
         raise UnsupportedKernelError("no closed transform for kernel %s" % self.name)
 
     def mellin_sum(self, z: complex, n: int) -> complex:
-        """The defining sum (-z/n) sum_{k<=n} G(n,k) (k/n)^(-z-1) at n."""
-        ks = np.arange(1, n + 1, dtype=np.int64)
-        row = self.eval_row(n, ks)
-        # (k/n)^(-z-1) = exp((-z-1) (ln k - ln n))
-        w = np.exp((-z - 1.0) * (np.log(ks) - math.log(n)))
-        return (-z / n) * complex(np.sum(row * w))
+        """The defining sum (-z/n) sum_{k<=n} G(n,k) (k/n)^(-z-1) at n.
+
+        k runs in blocks of SIEVE_BLOCK, so memory is O(SIEVE_BLOCK) for any
+        n.  Each summand is the same float expression at every n; the sum is
+        np.sum's within a block, the block sums added in order of k.  For
+        n <= SIEVE_BLOCK that is one np.sum over the whole row.
+        """
+        ln_n = math.log(n)
+        total = 0.0 + 0.0j
+        for start in range(1, n + 1, SIEVE_BLOCK):
+            ks = np.arange(start, min(start + SIEVE_BLOCK, n + 1), dtype=np.int64)
+            # (k/n)^(-z-1) = exp((-z-1) (ln k - ln n))
+            w = np.log(ks)
+            w -= ln_n
+            w = (-z - 1.0) * w
+            np.exp(w, out=w)
+            w *= self.eval_row(n, ks)
+            total += complex(np.sum(w))
+        return (-z / n) * total
 
     def _check(self, n: int, k: int) -> None:
         if k < 1 or k > n:
@@ -567,7 +581,15 @@ class Scaled(Kernel):
             m = fn // fk
             return m * fk / fn
         lt = self.f.log_value(k) - self.f.log_value(n)
-        return self.base.profile(math.exp(lt))
+        t = math.exp(lt)
+        if t < sys.float_info.min:
+            # subnormal or 0: the base profile would take a log of 0 or
+            # overflow a power of 1/t
+            raise KernelDomainError(
+                "%s at n=%d, k=%d: f(k)/f(n) = exp(%.6g) is below the smallest "
+                "normal float" % (self.spec, n, k, lt)
+            )
+        return self.base.profile(t)
 
     def eval_row(self, n: int, ks: np.ndarray) -> np.ndarray:
         f = self.f
@@ -615,20 +637,33 @@ class Scaled(Kernel):
         with the f(n)^z factor folded into each summand so every exponential
         has non-positive real part for Re z < 0: no overflow for any growth
         rate of f.  f(0) follows the FSpec formula (0 for power/identity,
-        making the k=1 lower weight vanish; 2 for q^x+1)."""
+        making the k=1 lower weight vanish; 2 for q^x+1).
+
+        For power and identity f, k runs in blocks of SIEVE_BLOCK (memory
+        O(SIEVE_BLOCK) for any n) and the last upper weight of a block is
+        the first lower weight of the next; the sum is np.sum's within a
+        block, the block sums added in order of k.  The q^x+1 sum adds its
+        n terms one at a time."""
         f = self.f
         if f.kind in ("identity", "power"):
             r = 1.0 if f.kind == "identity" else f.r
-            ks = np.arange(1, n + 1, dtype=np.float64)
-            logf = r * np.log(ks)  # ln f(k), k = 1..n
-            logfn = logf[-1]
-            # folded weights: exp(z(L(n)-L(k))) - exp(z(L(n)-L(k-1))); L(0) = -inf
-            up = np.exp(z * (logfn - logf))
-            lo = np.empty_like(up)
-            lo[0] = 0.0  # f(0) = 0 and Re z < 0 kill the k=1 lower term
-            lo[1:] = up[:-1]
-            g = self.base.profile_vec(np.exp(logf - logfn))
-            return complex(np.sum((up - lo) * g))
+            # ln f(n) by the same array log as the ln f(k) below
+            logfn = r * np.log(np.array([n], dtype=np.float64))[0]
+            total = 0.0 + 0.0j
+            prev_up = 0.0  # f(0) = 0 and Re z < 0 kill the k=1 lower term
+            for start in range(1, n + 1, SIEVE_BLOCK):
+                ks = np.arange(start, min(start + SIEVE_BLOCK, n + 1), dtype=np.float64)
+                logf = r * np.log(ks)  # ln f(k) over the block
+                # folded weights: exp(z(L(n)-L(k))) - exp(z(L(n)-L(k-1))); L(0) = -inf
+                up = np.exp(z * (logfn - logf))
+                w = np.empty_like(up)
+                w[0] = prev_up
+                w[1:] = up[:-1]
+                prev_up = up[-1]
+                np.subtract(up, w, out=w)
+                w *= self.base.profile_vec(np.exp(logf - logfn))
+                total += complex(np.sum(w))
+            return total
 
         # f(x) = q^x + 1: geometric decay away from k=n
         logf = [f.log_value(k) for k in range(n + 1)]

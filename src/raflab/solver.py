@@ -431,6 +431,26 @@ def _exact_sum(p: np.ndarray) -> float:
     return math.fsum(parts)
 
 
+def _exact_row_sum(values: list, n: int) -> Fraction:
+    """sum_{k<=n} a_k * k*floor(n/k) / n, exact, for the ingham kernel.
+
+    With a_k = p/q in lowest terms, q divides p*m (m = k*floor(n/k)) iff it
+    divides m; those terms add p*(m//q) to one int, the rest go into a
+    Fraction, and the total is divided by n once.
+    """
+    whole = 0
+    rest = Fraction(0)
+    for k in range(1, n + 1):
+        a = values[k]
+        m = k * (n // k)
+        q = a.denominator
+        if m % q:
+            rest += Fraction(a.numerator * m, q)
+        else:
+            whole += a.numerator * (m // q)
+    return (rest + whole) / n
+
+
 def _residuals(coeffs: Coefficients, ns: Sequence[int]):
     """(sum_{k<=n} a_k G(n,k) - R(n), R(n)) for each n of ns, with R read once,
     at those n: RhsSpec.r_float, or T(n)/n from RhsSpec.t_exact."""
@@ -440,9 +460,7 @@ def _residuals(coeffs: Coefficients, ns: Sequence[int]):
     if coeffs.backend == "exact":
         for n, t in zip(ns, coeffs.rhs.t_exact(at)):
             rn = Fraction(t, n)
-            # a_k * (k*floor(n/k))/n, all exact
-            acc = sum(coeffs.values[k] * Fraction(k * (n // k), n) for k in range(1, n + 1))
-            yield acc - rn, rn
+            yield _exact_row_sum(coeffs.values, n) - rn, rn
         return
     for n, rn in zip(ns, coeffs.rhs.r_float(at)):
         row = coeffs.kernel.eval_row(n, np.arange(1, n + 1, dtype=np.int64))

@@ -94,6 +94,25 @@ def test_scaled_exp_hand_value():
     assert k.eval(3, 1) == pytest.approx(1.0)
 
 
+def test_scaled_underflow_names_the_kernel_and_entry():
+    # f(k)/f(n) below the smallest normal float: the base profile would
+    # take log(0) (disc) or overflow lam^steps; the error says where
+    from raflab.mellin import limit_transform_wrt_f
+    from raflab.solver import RhsSpec, solve
+
+    exp3 = FSpec("exp_plus_one", q=3)
+    k = Scaled(Disc(2), exp3)
+    with pytest.raises(KernelDomainError, match=r"scaled:disc:2:exp:3 at n=680, k=1\b"):
+        k.eval(680, 1)
+    k.eval(640, 1)  # exp(-700.3) is still a normal float
+    with pytest.raises(KernelDomainError, match=r"scaled:disc:2:exp:3 at n=800, k=1\b"):
+        limit_transform_wrt_f(Disc(2), exp3, -1, 400)
+    with pytest.raises(KernelDomainError, match=r"scaled:disc:2:exp:3 at n=\d+, k=1\b"):
+        solve(k, RhsSpec("power", 0.5), 700)
+    # the exact integer branch of scaled ingham has no float ratio to underflow
+    assert Scaled(Ingham(), exp3).eval(680, 1) == 1.0  # (f(680) - 2)/f(680), rounded
+
+
 def test_scaled_identity_passthrough():
     k = Scaled(Ingham(), FSpec("identity"))
     g = Ingham()

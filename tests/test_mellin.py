@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from raflab.kernels import (
     RationalRaf,
     Scaled,
     UnsupportedKernelError,
+    parse_kernel,
 )
 from raflab.mellin import (
     PoleError,
@@ -26,6 +28,7 @@ from raflab.mellin import (
     phi_f_zeros,
     zeta,
 )
+from raflab.sieve import SIEVE_BLOCK
 
 PI = math.pi
 
@@ -196,6 +199,54 @@ def test_limit_transform_approaches_closed():
         assert abs(res.value - want) <= 0.01 * abs(want)
         # the doubled truncation is closer than the single one
         assert abs(res.value_2n - want) <= abs(res.value - want) + 1e-12
+
+
+def _unblocked_mellin_sum(kernel, z, n):
+    """The defining sum as one np.sum over the whole n-long row, the
+    reference the blocked sums are held to."""
+    if isinstance(kernel, Scaled):
+        r = 1.0 if kernel.f.kind == "identity" else kernel.f.r
+        logf = r * np.log(np.arange(1, n + 1, dtype=np.float64))
+        up = np.exp(z * (logf[-1] - logf))
+        lo = np.concatenate(([0.0], up[:-1]))
+        g = kernel.base.profile_vec(np.exp(logf - logf[-1]))
+        return complex(np.sum((up - lo) * g))
+    ks = np.arange(1, n + 1, dtype=np.int64)
+    w = np.exp((-z - 1.0) * (np.log(ks) - math.log(n)))
+    return (-z / n) * complex(np.sum(kernel.eval_row(n, ks) * w))
+
+
+# every head of the kernel grammar, and Scaled over pow:0.5 and id
+BLOCKED_KERNELS = [parse_kernel(spec) for spec in (
+    "ingham", "affine:0.3", "log:0.5", "disc:2", "disc:2.5", "ratraf:1,2", "genin:1,-1,0",
+    "scaled:ingham:pow:0.5", "scaled:ingham:id",
+)] + [Scaled(Affine(0.3), FSpec("power", r=0.5))]
+
+
+@pytest.mark.parametrize("kernel", BLOCKED_KERNELS, ids=lambda k: k.spec)
+def test_blocked_mellin_sum_matches_one_row_sum(kernel):
+    z = -0.75 + 1.25j
+    for n in (10, SIEVE_BLOCK - 1, SIEVE_BLOCK, SIEVE_BLOCK + 1, 2 * SIEVE_BLOCK + 7):
+        got = kernel.mellin_sum(z, n)
+        want = _unblocked_mellin_sum(kernel, z, n)
+        assert cmath.isclose(got, want, rel_tol=1e-13, abs_tol=0.0), (n, got, want)
+        if n <= SIEVE_BLOCK and not isinstance(kernel, Scaled):
+            assert got == want  # one block is the one-row sum, bit for bit
+
+
+def test_mellin_sum_allocates_blocks_not_rows():
+    # one n-long complex row is 16 MB at n = 10**6 and a one-row sum peaks
+    # at 45.9 MB; the blocked sum holds a few SIEVE_BLOCK-long arrays
+    kernel = Ingham()
+    kernel.mellin_sum(-1 + 0.5j, 100)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kernel.mellin_sum(-1 + 0.5j, 10**6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
 
 
 def test_limit_transform_reports_truncations():

@@ -420,6 +420,32 @@ def test_residual_exact_is_zero():
     assert verify_residuals(c) == 0.0
 
 
+EXACT_SOLVES = [("power:1", 100_000), ("power:2", 10_000), ("delta", 10_000), ("l0pow:1", 5_000)]
+
+
+@pytest.fixture(scope="module", params=EXACT_SOLVES, ids=[r for r, _ in EXACT_SOLVES])
+def exact_solve(request):
+    rhs, limit = request.param
+    return solve(Ingham(), parse_rhs(rhs), limit, backend="exact")
+
+
+def test_exact_residual_equals_per_term_fraction_sum(exact_solve):
+    c = exact_solve
+    for n in sorted({1, 2, 12, 97, 360, c.limit // 3, c.limit}):
+        want = sum(c.values[k] * Fraction(k * (n // k), n) for k in range(1, n + 1))
+        assert residual(c, n) == want - Fraction(c.rhs.t_exact(np.array([n]))[0], n)
+
+
+def test_exact_residual_sees_a_one_part_in_10_12_nudge(exact_solve):
+    c = exact_solve
+    for k in (1, 6, c.limit // 2, c.limit):
+        values = list(c.values)
+        values[k] += Fraction(1, 10**12)
+        nudged = dataclasses.replace(c, values=values)
+        assert verify_residuals(nudged, [c.limit]) == math.inf
+    assert verify_residuals(c, [c.limit]) == 0.0
+
+
 def test_residual_index_errors():
     c = solve(Ingham(), RhsSpec("delta"), 50)
     with pytest.raises(IndexError):
