@@ -191,21 +191,17 @@ class Kernel:
         """The defining sum (-z/n) sum_{k<=n} G(n,k) (k/n)^(-z-1) at n.
 
         k runs in blocks of SIEVE_BLOCK, so memory is O(SIEVE_BLOCK) for any
-        n.  Each summand is the same float expression at every n; the sum is
-        np.sum's within a block, the block sums added in order of k.  For
-        n <= SIEVE_BLOCK that is one np.sum over the whole row.
+        n.  Each summand is computed as in a sum over the whole row; only
+        the grouping differs: np.sum within a block, the block sums added in
+        order of k.  For n <= SIEVE_BLOCK that is one np.sum over the row.
         """
         ln_n = math.log(n)
         total = 0.0 + 0.0j
         for start in range(1, n + 1, SIEVE_BLOCK):
             ks = np.arange(start, min(start + SIEVE_BLOCK, n + 1), dtype=np.int64)
             # (k/n)^(-z-1) = exp((-z-1) (ln k - ln n))
-            w = np.log(ks)
-            w -= ln_n
-            w = (-z - 1.0) * w
-            np.exp(w, out=w)
-            w *= self.eval_row(n, ks)
-            total += complex(np.sum(w))
+            w = np.exp((-z - 1.0) * (np.log(ks) - ln_n))
+            total += complex(np.sum(self.eval_row(n, ks) * w))
         return (-z / n) * total
 
     def _check(self, n: int, k: int) -> None:
@@ -656,13 +652,10 @@ class Scaled(Kernel):
                 logf = r * np.log(ks)  # ln f(k) over the block
                 # folded weights: exp(z(L(n)-L(k))) - exp(z(L(n)-L(k-1))); L(0) = -inf
                 up = np.exp(z * (logfn - logf))
-                w = np.empty_like(up)
-                w[0] = prev_up
-                w[1:] = up[:-1]
+                lo = np.concatenate(([prev_up], up[:-1]))
                 prev_up = up[-1]
-                np.subtract(up, w, out=w)
-                w *= self.base.profile_vec(np.exp(logf - logfn))
-                total += complex(np.sum(w))
+                g = self.base.profile_vec(np.exp(logf - logfn))
+                total += complex(np.sum((up - lo) * g))
             return total
 
         # f(x) = q^x + 1: geometric decay away from k=n
