@@ -37,6 +37,9 @@ VERDICT_DECAY = "bounded_decay"
 # The envelope's trailing window: x_j/ENV_SPAN <= x_i <= x_j.
 ENV_SPAN = 2.0
 
+# A series whose envelope slope is at most this decays (bounded_decay).
+DECAY_SLOPE_MAX = -0.35
+
 # Bisections of the index bracket after the grid scan.
 INDEX_BISECTIONS = 6
 
@@ -64,15 +67,12 @@ class Tolerances:
     slope_tol_low: float = 0.05
     slope_tol_high: float = 0.10
     const_tol: float = 0.05
-    decay_slope_max: float = -0.35
 
     def __post_init__(self) -> None:
         for name in ("slope_tol_low", "slope_tol_high", "const_tol"):
             v = getattr(self, name)
             if not 0.0 < v < math.inf:
                 raise ValueError("%s must be finite and > 0, got %r" % (name, v))
-        if not math.isfinite(self.decay_slope_max):
-            raise ValueError("decay_slope_max must be finite, got %r" % (self.decay_slope_max,))
 
     def slope_tol(self, beta: float) -> float:
         if not math.isfinite(beta):
@@ -107,7 +107,6 @@ class IndexEstimate:
     grid: Tuple[RegimeVerdict, ...]
     beta_lo: float
     beta_hi: float
-    tolerances: Tolerances
     bisections: int = 0
 
 
@@ -265,7 +264,7 @@ def regime_check(
     asymptotic_match: envelope slope within slope_tol of -beta AND (where a
     predicted constant 1/G*(beta) applies) mean A(x) x^beta over the top
     quartile of checkpoints within const_tol of it.  Otherwise
-    bounded_decay if the envelope decays at slope <= decay_slope_max,
+    bounded_decay if the envelope decays at slope <= DECAY_SLOPE_MAX,
     else power_mismatch.  beta = inf (delta RHS) skips both beta-relative
     checks and classifies purely by decay.
     """
@@ -290,7 +289,7 @@ def regime_check(
             is_match = True
     if is_match:
         verdict = VERDICT_MATCH
-    elif slope <= tol.decay_slope_max:
+    elif slope <= DECAY_SLOPE_MAX:
         verdict = VERDICT_DECAY
     else:
         verdict = VERDICT_MISMATCH
@@ -364,7 +363,6 @@ def estimate_index(
         grid=verdicts,
         beta_lo=lo,
         beta_hi=hi,
-        tolerances=tol,
         bisections=INDEX_BISECTIONS,
     )
 
@@ -437,7 +435,7 @@ def jordan_partial_check(table: MobiusTable, beta: float, limit: int) -> JordanR
         raise ValueError("limit exceeds table limit")
     cps = default_checkpoints(limit)
     vals = np.array([jordan_sum(table, beta, int(x)) for x in cps])
-    series = PartialSumSeries(checkpoints=cps, A=vals, A1=vals, provenance="jordan:%g" % beta)
+    series = PartialSumSeries(checkpoints=cps, A=vals, A1=vals)
     slope, stderr = fit_exponent(series)
     pred = 1.0 / ((1.0 - beta) * zeta(complex(1.0 - beta)).real)
     q = max(1, len(cps) // 4)

@@ -51,6 +51,7 @@ import numpy as np
 
 from . import __version__, claims
 from .asymptotics import (
+    DECAY_SLOPE_MAX,
     BracketFailureError,
     Tolerances,
     estimate_index,
@@ -183,7 +184,7 @@ def _grid_meta(kernel, n: int, tol: Tolerances) -> Dict[str, object]:
             "slope_tol_low": tol.slope_tol_low,
             "slope_tol_high": tol.slope_tol_high,
             "const_tol": tol.const_tol,
-            "decay_slope_max": tol.decay_slope_max,
+            "decay_slope_max": DECAY_SLOPE_MAX,
         },
     }
 

@@ -5,6 +5,12 @@ G(n,k) = g(k/n); the rational kernel (n+k+x)/(n+k+y) is the one non-FGV
 member of the catalog.  Scaled kernels compose an FGV profile with a
 rescaling f, G(n,k) = g(f(k)/f(n)).
 
+Evaluators: an FGV kernel states its formula once, in profile and
+profile_vec; eval(n, k) is profile(k/n) and eval_row(n, ks) is
+profile_vec(ks/n).  ingham and genin override eval/eval_row to floor n/k by
+integer division (below), ratraf defines its own, and a scaled kernel
+evaluates g at f(k)/f(n).
+
 Floor conventions: wherever the profile contains a floor of a rational
 ratio (the x*floor(1/x) profile and its generalized version), the floor is
 computed by integer division of integers, never by flooring a float ratio —
@@ -150,11 +156,13 @@ class Kernel:
     unproven_index = False
 
     def eval(self, n: int, k: int) -> float:
-        raise NotImplementedError
+        """G(n, k) for 1 <= k <= n."""
+        self._check(n, k)
+        return self.profile(k / n)
 
     def eval_row(self, n: int, ks: np.ndarray) -> np.ndarray:
         """Vectorized G(n, k) over an int array of k values in [1, n]."""
-        return np.array([self.eval(n, int(k)) for k in ks], dtype=np.float64)
+        return self.profile_vec(np.asarray(ks, dtype=np.float64) / n)
 
     def profile(self, t: float) -> float:
         """g(t) for FGV kernels, 0 < t <= 1."""
@@ -270,13 +278,6 @@ class Affine(Kernel):
         if not (0.0 < self.lam < 1.0):
             raise KernelDomainError("affine needs 0 < lam < 1, got %r" % (self.lam,))
 
-    def eval(self, n: int, k: int) -> float:
-        self._check(n, k)
-        return (1.0 - self.lam) * (k / n) + self.lam
-
-    def eval_row(self, n: int, ks: np.ndarray) -> np.ndarray:
-        return (1.0 - self.lam) * (np.asarray(ks, dtype=np.float64) / n) + self.lam
-
     def profile(self, t: float) -> float:
         return (1.0 - self.lam) * t + self.lam
 
@@ -310,13 +311,6 @@ class LogKernel(Kernel):
     def __post_init__(self) -> None:
         if not (0.0 < self.lam <= 1.0):
             raise KernelDomainError("log kernel needs 0 < lam <= 1, got %r" % (self.lam,))
-
-    def eval(self, n: int, k: int) -> float:
-        self._check(n, k)
-        return 1.0 - self.lam * math.log(k / n)
-
-    def eval_row(self, n: int, ks: np.ndarray) -> np.ndarray:
-        return 1.0 - self.lam * np.log(np.asarray(ks, dtype=np.float64) / n)
 
     def profile(self, t: float) -> float:
         return 1.0 - self.lam * math.log(t)
@@ -370,17 +364,12 @@ class Disc(Kernel):
     def _steps(self, t: float) -> int:
         return int(math.floor(-math.log(t) / math.log(self.lam) + _DISC_SNAP))
 
-    def eval(self, n: int, k: int) -> float:
-        self._check(n, k)
-        return self.profile(k / n)
-
-    def eval_row(self, n: int, ks: np.ndarray) -> np.ndarray:
-        t = np.asarray(ks, dtype=np.float64) / n
-        j = np.floor(-np.log(t) / math.log(self.lam) + _DISC_SNAP)
-        return t * np.power(self.lam, j)
-
     def profile(self, t: float) -> float:
         return t * self.lam ** self._steps(t)
+
+    def profile_vec(self, t: np.ndarray) -> np.ndarray:
+        j = np.floor(-np.log(t) / math.log(self.lam) + _DISC_SNAP)
+        return t * np.power(self.lam, j)
 
     def dirichlet_weights(self, limit: int):
         # Integer lam: n*G(n,k)/k = lam^floor(log_lam floor(n/k)), which is
@@ -499,17 +488,12 @@ class GeneralizedIngham(Kernel):
         return total * k / n
 
     def eval_row(self, n: int, ks: np.ndarray) -> np.ndarray:
-        # G(n,k) = (k/n) W(floor(n/k)), W(q) = sum_{j<=q} u_j floor(q/j),
-        # one vectorised sum per distinct q (about 2*sqrt(n) of them); kept
-        # apart from the solver's divisor_pass so a residual row stays an
-        # independent check of it
+        # G(n,k) = (k/n) W(floor(n/k)), one _w per distinct q (about
+        # 2*sqrt(n) of them); kept apart from the solver's divisor_pass so a
+        # residual row stays an independent check of it
         ks = np.asarray(ks, dtype=np.int64)
-        if len(ks) == 0:
-            return np.zeros(0, dtype=np.float64)
         qs, where = np.unique(n // ks, return_inverse=True)
-        u = np.resize(self.weights, int(qs[-1]))  # u_j = weights[(j-1) % period]
-        j = np.arange(1, len(u) + 1, dtype=np.int64)
-        w = np.array([np.dot(u[:q], q // j[:q]) for q in qs.tolist()])
+        w = np.array([self._w(q) for q in qs.tolist()], dtype=np.float64)
         return w[where] * ks / float(n)
 
     def dirichlet_weights(self, limit: int) -> np.ndarray:
@@ -518,15 +502,17 @@ class GeneralizedIngham(Kernel):
         return u
 
     def profile(self, t: float) -> float:
-        # t * W(floor(1/t)), W(q) = sum_{j<=q} u_j floor(q/j); the same snap
-        # as Ingham.profile: t = 1/m computed one ulp high must still floor
-        # 1/t to m
+        # t * W(floor(1/t)); the same snap as Ingham.profile: t = 1/m
+        # computed one ulp high must still floor 1/t to m
         x = 1.0 / t + 1e-12
         if x >= GENIN_PROFILE_MAX_Q + 1:
             raise KernelDomainError(
                 "genin profile at t=%g needs floor(1/t) <= %d" % (t, GENIN_PROFILE_MAX_Q)
             )
-        q = math.floor(x)
+        return self._w(math.floor(x)) * t
+
+    def _w(self, q: int) -> float:
+        """W(q) = sum_{j<=q} u_j floor(q/j) for an integer q >= 1."""
         w = np.array(self.weights)
         # j <= r = isqrt(q) one at a time; the larger j form blocks
         # (q//(v+1), q//v] of equal v = floor(q/j) <= r, each adding
@@ -537,7 +523,7 @@ class GeneralizedIngham(Kernel):
         ends = q // np.arange(1, q // (r + 1) + 2)  # q//v for v = 1..V+1
         u_ends = (ends // len(w)) * cum[-1] + cum[ends % len(w)]
         head = np.dot(w[(j - 1) % len(w)], q // j)
-        return float(head + np.dot(np.arange(1, len(ends)), u_ends[:-1] - u_ends[1:])) * t
+        return float(head + np.dot(np.arange(1, len(ends)), u_ends[:-1] - u_ends[1:]))
 
     def transform(self, z: complex) -> TransformResult:
         raise UnsupportedKernelError(
@@ -552,12 +538,14 @@ class GeneralizedIngham(Kernel):
 
 @dataclass(frozen=True)
 class Scaled(Kernel):
-    """G(n,k) = g(f(k)/f(n)) for an FGV base profile g and rescaling f."""
+    """G(n,k) = g(f(k)/f(n)) for an FGV base profile g and rescaling f.
+
+    Not an FGV itself (G is not a function of k/n), so it cannot be a base.
+    """
 
     base: Kernel
     f: FSpec
     name = "scaled"
-    is_fgv = True
 
     def __post_init__(self) -> None:
         if not self.base.is_fgv:
@@ -598,12 +586,7 @@ class Scaled(Kernel):
         if isinstance(self.base, Ingham):
             fn = f.value(n)
             return np.array([(fn // fk) * fk / fn for fk in map(f.value, ks.tolist())])
-        return super().eval_row(n, ks)
-
-    def profile(self, t: float) -> float:
-        # the profile of the *scaled* kernel is g composed with the f-ratio
-        # structure; only the base profile is well-defined pointwise
-        return self.base.profile(t)
+        return np.array([self.eval(n, k) for k in ks.tolist()], dtype=np.float64)
 
     def transform(self, z: complex) -> TransformResult:
         f = self.f

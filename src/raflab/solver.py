@@ -201,7 +201,6 @@ class PartialSumSeries:
     checkpoints: np.ndarray
     A: np.ndarray
     A1: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         if len(self.checkpoints) == 0:
@@ -601,12 +600,7 @@ def partial_sums(coeffs: Coefficients, checkpoints: Sequence[int]) -> PartialSum
     a = coeffs.values_float()
     ca = np.cumsum(a)
     cb = np.cumsum(np.arange(coeffs.limit + 1, dtype=np.float64) * a)
-    return PartialSumSeries(
-        checkpoints=cps,
-        A=ca[cps],
-        A1=cb[cps],
-        provenance="%s|%s" % (coeffs.kernel.spec, coeffs.rhs.label),
-    )
+    return PartialSumSeries(checkpoints=cps, A=ca[cps], A1=cb[cps])
 
 
 def partial_sums_exact(coeffs: Coefficients, checkpoints: Sequence[int]):

@@ -113,6 +113,17 @@ def test_scaled_underflow_names_the_kernel_and_entry():
     assert Scaled(Ingham(), exp3).eval(680, 1) == 1.0  # (f(680) - 2)/f(680), rounded
 
 
+def test_scaled_kernel_cannot_be_rescaled_again():
+    # G(n,k) = g(f(k)/f(n)) is no function of k/n, so a scaled kernel has no
+    # profile to rescale; taking the base's would drop the inner f
+    inner = Scaled(Ingham(), FSpec("power", r=0.5))
+    assert not inner.is_fgv
+    with pytest.raises(UnsupportedKernelError):
+        inner.profile(0.5)
+    with pytest.raises(UnsupportedKernelError):
+        Scaled(inner, FSpec("power", r=0.5))
+
+
 def test_scaled_identity_passthrough():
     k = Scaled(Ingham(), FSpec("identity"))
     g = Ingham()
@@ -167,7 +178,9 @@ def test_eval_row_matches_scalar(n):
     for kern in (Ingham(), Affine(0.3), LogKernel(0.7), Disc(2.0), Disc(3.0),
                  RationalRaf(1.0, 3.0), GeneralizedIngham((1.0, -1.0, 0.5)),
                  Scaled(Ingham(), FSpec("power", r=0.5)),
-                 Scaled(Ingham(), FSpec("exp_plus_one", q=2))):
+                 Scaled(Ingham(), FSpec("exp_plus_one", q=2)),
+                 Scaled(Disc(2.5), FSpec("power", r=0.5)),
+                 Scaled(LogKernel(0.7), FSpec("power", r=0.5))):
         row = kern.eval_row(n, ks)
         scalar = np.array([kern.eval(n, int(k)) for k in ks])
         np.testing.assert_allclose(row, scalar, rtol=1e-12, atol=1e-15)
@@ -208,7 +221,7 @@ def test_profile_vec_matches_profile(ts):
     # every FGV kernel; t = 1/m is where the floor profiles jump
     t = np.array(ts + [1.0 / m for m in range(1, 41)])
     for kern in (Ingham(), Affine(0.3), LogKernel(0.7), Disc(2.0), Disc(2.5),
-                 GeneralizedIngham((1.0, -1.0, 0.5)), Scaled(Ingham(), FSpec("power", r=0.5))):
+                 GeneralizedIngham((1.0, -1.0, 0.5))):
         assert kern.is_fgv
         scalar = np.array([kern.profile(float(x)) for x in t])
         np.testing.assert_allclose(kern.profile_vec(t), scalar, rtol=1e-12, atol=0)
