@@ -381,23 +381,30 @@ def hlr_report(coeffs: Coefficients) -> HLRReport:
     limit = coeffs.limit
     if limit < 2:
         raise ValueError("need limit >= 2")
-    na = np.arange(limit + 1, dtype=np.float64) * coeffs.values_float()
-    abs_tail = np.abs(na[2:])
-    sup_abs = float(abs_tail.max())
+    a = coeffs.values_float()
+    cps = default_checkpoints(limit)
+    cps = cps[cps >= 2]
+    vals = np.empty(len(cps))  # max |n a_n| over 2 <= n <= x at each checkpoint x
+    # one pass a block of n at a time; sup_abs is the running max at n = N
+    sup_abs = 0.0
+    for lo in range(2, limit + 1, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, limit + 1)
+        cmax = np.abs(np.arange(lo, hi, dtype=np.float64) * a[lo:hi])
+        cmax[0] = np.maximum(cmax[0], sup_abs)
+        np.maximum.accumulate(cmax, out=cmax)
+        sup_abs = float(cmax[-1])
+        j = slice(np.searchsorted(cps, lo), np.searchsorted(cps, hi))
+        vals[j] = cmax[cps[j] - lo]
     if sup_abs == 0.0:
         growth = 0.0
     else:
-        cmax = np.maximum.accumulate(abs_tail)
-        cps = default_checkpoints(limit)
-        cps = cps[cps >= 2]
-        vals = cmax[cps - 2]
         pos = vals > 0
         if pos.sum() < 3:
             growth = 0.0
         else:
             growth, _ = _ols_loglog(cps[pos].astype(np.float64), vals[pos])
     tail = primes_upto(limit)[-100:]
-    tail_mean = float(np.mean(na[tail])) if len(tail) else 0.0
+    tail_mean = float(np.mean(tail * a[tail])) if len(tail) else 0.0
     return HLRReport(
         sup_abs=sup_abs,
         growth_exponent=growth,

@@ -498,7 +498,8 @@ class GeneralizedIngham(Kernel):
 
     def dirichlet_weights(self, limit: int) -> np.ndarray:
         u = np.zeros(limit + 1)
-        u[1:] = np.resize(self.weights, limit)  # u_j = weights[(j-1) % period]
+        for j, w in enumerate(self.weights, 1):  # u_j = weights[(j-1) % period]
+            u[j :: len(self.weights)] = w
         return u
 
     def profile(self, t: float) -> float:

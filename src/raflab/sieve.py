@@ -12,9 +12,12 @@ Provides:
   time, and keeps the prefix up to a requested limit
 - divisor_pass(target, weights, sign, mult) -> target[i*d] += sign*mult[i]*weights[d]
   for d ascending: sum_{k<=n} w_k floor(n/k) forwards, or its in-place
-  inverse (with mult, the inverse of b -> v * b).  It is the one loop over
-  multiples: the solver's divisor path, disc's Dirichlet weights, the
-  floor-sum counts, the Ingham closed form and totient_table all call it.
+  inverse (with mult, the inverse of b -> v * b).  One strided slice per
+  d <= sqrt(N), then one per multiplier i in each dyadic block [d0, 2*d0)
+  of the larger d: about 3*sqrt(N) slices in all, and no temporary longer
+  than SIEVE_BLOCK.  It is the one loop over multiples: the solver's
+  divisor path, disc's Dirichlet weights, the floor-sum counts, the Ingham
+  closed form and totient_table all call it.
 
 The table is immutable after construction and safe to share read-only
 across workers; sieving itself is single-threaded.
@@ -44,9 +47,6 @@ MAX_SIEVE_LIMIT = 200_000_000
 SIEVE_BLOCK = 1 << 18
 
 _CACHE_MAGIC = b"RAFSIEVE1"
-
-# divisor_pass strides d while N//d >= K and blocks the larger d by N//d.
-DIVISOR_PASS_K = 64
 
 
 class CapacityError(ValueError):
@@ -240,30 +240,37 @@ def divisor_pass(target: np.ndarray, weights: np.ndarray, sign: int, mult=None) 
     update = operator.iadd if sign > 0 else operator.isub  # in place on a view
     n = len(target) - 1
     top = n if mult is None else len(mult) - 1  # the largest i with a mult[i]
-    # d with at least K multiples: one strided slice per d.
-    for d in range(1, n // DIVISOR_PASS_K + 1):
+    r = math.isqrt(n)
+    # d <= sqrt(N): one strided slice per d.
+    for d in range(1, r + 1):
         w = weights[d]
         if w:
             if mult is None:
                 update(target[2 * d :: d], w)
             else:
                 m = mult[2 : n // d + 1]
-                update(target[2 * d : (len(m) + 1) * d + 1 : d], m * w)
-    # Larger d, in blocks of equal q = N//d, i.e. d in (N/(q+1), N/q].  Then
-    # 2*d_lo > d_hi, so no d of a block divides another: the block reads only
-    # finished weights, and its i-th multiples form one strided slice.  Nor
-    # does a target get two terms from one block (i*d = i'*d' with i' < i <= q
-    # needs d'/d >= q/(q-1) > d_hi/d_lo), and blocks go in ascending d, so
-    # every target gets its terms in the per-d loop's order: floats round
-    # the same way.
-    d_lo = n // DIVISOR_PASS_K + 1
-    while 2 * d_lo <= n:
-        q = n // d_lo
-        d_hi = n // q
-        w = weights[d_lo : d_hi + 1]
-        for i in range(2, min(q, top) + 1):
+                _update_scaled(update, target[2 * d : (len(m) + 1) * d + 1 : d], m, w)
+    # d > sqrt(N) in dyadic blocks [d0, 2*d0).  No d of a block divides
+    # another, so the block reads only finished weights, and its i-th
+    # multiples form one strided slice.  A target i*d = i'*d' with d < d' in
+    # one block has i > i', so running i downwards gives every target its
+    # terms in ascending d, the per-d loop's order: floats round the same way.
+    d0 = r + 1
+    while 2 * d0 <= n:
+        d1 = min(2 * d0 - 1, n // 2)
+        w = weights[d0 : d1 + 1]
+        for i in range(min(n // d0, top), 1, -1):
+            hi = min(d1, n // i)
             if mult is None:
-                update(target[i * d_lo : i * d_hi + 1 : i], w)
+                update(target[i * d0 : i * hi + 1 : i], w[: hi - d0 + 1])
             elif mult[i]:
-                update(target[i * d_lo : i * d_hi + 1 : i], mult[i] * w)
-        d_lo = d_hi + 1
+                _update_scaled(update, target[i * d0 : i * hi + 1 : i], w[: hi - d0 + 1], mult[i])
+        d0 = d1 + 1
+
+
+def _update_scaled(update, target: np.ndarray, v: np.ndarray, c) -> None:
+    """update(target, v * c), SIEVE_BLOCK entries at a time, so the products
+    never form an N-long temporary; v itself where c == 1."""
+    for lo in range(0, len(v), SIEVE_BLOCK):
+        block = v[lo : lo + SIEVE_BLOCK]
+        update(target[lo : lo + SIEVE_BLOCK], block if c == 1 else block * c)

@@ -37,6 +37,11 @@ n*G(n,k)/k = lam^floor(log_lam floor(n/k)) = sum_{m<=n/k} w(m) with
 w = delta_1 + sum_{i>=1} (lam^i - lam^(i-1)) delta_{lam^i}, so 1 * u = w
 and u = mu * w.
 
+A float divisor-path solve holds a_0..a_N (in the one array that held T,
+then s, then b), the weights u, and O(SIEVE_BLOCK) besides: R, T, s, the
+finite checks and the division by m go a block at a time, and so do the
+residual rows, partial_sums and the HLR report that read a_n afterwards.
+
 The Ingham closed form (ingham_coeff_closed) reaches the same solutions
 forwards: n*a_n = (mu * t)(n) with t(d) = d^(1-beta) - (d-1)^(1-beta), one
 divisor_pass(out, mu, +1, t) plus the m = 1 term mu(n).  It reads the
@@ -63,7 +68,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .kernels import Kernel
-from .sieve import MobiusTable, divisor_pass
+from .sieve import SIEVE_BLOCK, MobiusTable, divisor_pass
 
 # Largest N the generic O(N^2) forward substitution accepts.
 GENERIC_CAP = 20_000
@@ -90,8 +95,9 @@ class RhsSpec:
     """Right-hand side description.
 
     kind: "power" (R(n) = n^-beta), "delta" (R = 1,0,0,...; beta = inf),
-    or "l0pow" (R(n) = n^-beta * L0(n), L0 the 3-smooth counting function
-    l0_three_smooth, which each evaluator builds up to the largest n asked).
+    or "l0pow" (R(n) = n^-beta * L0(n), L0 the 3-smooth counting function,
+    which each evaluator reads off the sorted 3-smooth numbers up to the
+    largest n asked: 142 of them at 10^6).
     """
 
     kind: str
@@ -134,7 +140,7 @@ class RhsSpec:
             r = ns.astype(np.float64) ** (-self.beta)
         r[ns == 0] = 0.0
         if self.kind == "l0pow":
-            r *= l0_three_smooth(int(ns.max(initial=1)))[ns]
+            r *= _l0(ns)
         return r
 
     def t_exact(self, ns: np.ndarray) -> np.ndarray:
@@ -149,7 +155,7 @@ class RhsSpec:
         e = 1 - int(self.beta)  # T(n) = n^e for n >= 1
         t = [0 if not n else n**e if e >= 0 else Fraction(1, n**-e) for n in ns.tolist()]
         if self.kind == "l0pow":
-            t = [v * c for v, c in zip(t, l0_three_smooth(int(ns.max(initial=1)))[ns].tolist())]
+            t = [v * c for v, c in zip(t, _l0(ns).tolist())]
         return np.array(t, dtype=object)
 
 
@@ -274,22 +280,28 @@ def solve(
             raise ValueError(
                 "generic O(N^2) solve capped at N=%d (asked %d)" % (GENERIC_CAP, limit)
             )
-        r = rhs.r_float(np.arange(limit + 1))
-        bad = np.flatnonzero(~np.isfinite(r[1:]))
-        if len(bad):
-            raise ValueError("rhs %s: R(n) is not finite at n=%d" % (rhs.label, bad[0] + 1))
+        divisor = u is not None and not generic
+        r = np.empty(limit + 1)  # R(n), or T(n) = n R(n) on the divisor path
+        for lo in range(0, limit + 1, SIEVE_BLOCK):
+            ns = np.arange(lo, min(lo + SIEVE_BLOCK, limit + 1), dtype=np.int64)
+            block = rhs.r_float(ns)
+            bad = _first_nonfinite(block)
+            if bad is not None:
+                raise ValueError("rhs %s: R(n) is not finite at n=%d" % (rhs.label, lo + bad))
+            if divisor:
+                with np.errstate(over="ignore"):
+                    block *= ns
+            r[lo : lo + len(ns)] = block
         if generic:
             h = None if force_generic else kernel.hankel_values(limit)
             values = _solve_generic_float(kernel, r, limit, h)
-        elif u is not None:
-            with np.errstate(over="ignore"):
-                r *= np.arange(limit + 1)  # now T(n) = n R(n)
+        elif divisor:
             values = _divisor_solve(r, u, rhs.label)
         else:
             values = _separable_solve_float(r, *pq)
-        bad = np.flatnonzero(~np.isfinite(values[1:]))
-        if len(bad):
-            raise ValueError("rhs %s: a_n is not finite at n=%d" % (rhs.label, bad[0] + 1))
+        bad = _first_nonfinite(values, 1)
+        if bad is not None:
+            raise ValueError("rhs %s: a_n is not finite at n=%d" % (rhs.label, bad))
     else:
         raise ValueError("backend must be 'exact' or 'float', got %r" % (backend,))
 
@@ -303,13 +315,21 @@ def _divisor_solve(t: np.ndarray, u: np.ndarray, label: str) -> Union[np.ndarray
     float t, Fractions from ints and Fractions.  b_m = m a_m solves
     (1 * u * b)(m) = s(m) = T(m) - T(m-1).  Raises ValueError, naming the RHS
     label, when a float s(m) is not finite (m R(m) overflows), and
-    SingularKernelError when u_1 = 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        t[1:] -= t[:-1].copy()  # t becomes s (T(0) = 0, so s(0) = 0)
-    if t.dtype != object:
-        bad = np.flatnonzero(~np.isfinite(t[1:]))
-        if len(bad):
-            raise ValueError("rhs %s: s(m) is not finite at m=%d" % (label, bad[0] + 1))
+    SingularKernelError when u_1 = 0.  Beyond t and u it holds
+    O(SIEVE_BLOCK): s, the finite check and the division by m go a block
+    at a time."""
+    prev = t[0]  # T(0) = 0, so s(0) = 0
+    for lo in range(1, len(t), SIEVE_BLOCK):
+        block = t[lo : lo + SIEVE_BLOCK]
+        last = block[-1]  # the T that the next block's first s subtracts
+        with np.errstate(over="ignore", invalid="ignore"):
+            block[1:] -= block[:-1].copy()  # block becomes s
+            block[0] -= prev
+        prev = last
+        if t.dtype != object:
+            bad = _first_nonfinite(block)
+            if bad is not None:
+                raise ValueError("rhs %s: s(m) is not finite at m=%d" % (label, lo + bad))
     if not u[1]:
         raise SingularKernelError(1)
     divisor_pass(t, t, -1)  # t becomes c = mu * s = u * b
@@ -317,13 +337,25 @@ def _divisor_solve(t: np.ndarray, u: np.ndarray, label: str) -> Union[np.ndarray
         t /= u[1]
     if np.any(u[2:]):
         # b_m = c(m)/u_1 - sum_{d|m, d<m} (u_{m/d}/u_1) b_d
-        divisor_pass(t, t, -1, u / u[1])
+        divisor_pass(t, t, -1, u if u[1] == 1 else u / u[1])
     if t.dtype == object:
         return [Fraction(0)] + [
             Fraction(v, m) if isinstance(v, int) else v / m for m, v in enumerate(t[1:].tolist(), 1)
         ]
-    t[1:] /= np.arange(1, len(t))
+    for lo in range(1, len(t), SIEVE_BLOCK):
+        block = t[lo : lo + SIEVE_BLOCK]
+        block /= np.arange(lo, lo + len(block))
     return t
+
+
+def _first_nonfinite(a: np.ndarray, start: int = 0) -> Optional[int]:
+    """The first index i >= start with a[i] not finite, or None; float a,
+    scanned a block at a time."""
+    for lo in range(start, len(a), SIEVE_BLOCK):
+        bad = np.flatnonzero(~np.isfinite(a[lo : lo + SIEVE_BLOCK]))
+        if len(bad):
+            return lo + int(bad[0])
+    return None
 
 
 # The separable loop reads its inputs as Python floats, converted this many
@@ -400,19 +432,25 @@ def _spot_check(coeffs: Coefficients, generic: bool) -> None:
 
 
 def _exact_sum(p: np.ndarray) -> float:
-    """math.fsum(p) bit for bit, with no Python list of p; p is overwritten.
+    """math.fsum(p) bit for bit, with no Python list of p; p is overwritten."""
+    return math.fsum(_exact_parts(p))
+
+
+def _exact_parts(p: np.ndarray) -> list:
+    """A short list of floats whose exact sum is that of p; p is overwritten.
+    fsum of the parts of several arrays is fsum of their concatenation.
 
     Error-free vector extraction (Rump, Ogita and Oishi, "Accurate
     floating-point summation part I: faithful rounding", SIAM J. Sci.
     Comput. 31, 2008): with max|p| < 2^E and sigma = 2^(E + g), 2^g >= n + 2,
     q = (sigma + p) - sigma holds the high bits of each p_i as multiples of
     ulp(sigma)/2, so sum(q) is exact in any order and p - q is exact.  Each
-    round moves the sum of q into a short list and strips about 53 - g bits
-    from p, until p is zero; fsum of that list is the correctly rounded
-    sum of p, which is what fsum(p) returns.  A non-finite max|p| or one
-    above 2^900 (where sigma could overflow) falls back to fsum itself, so
-    NaN, inf and fsum's OverflowError behave as fsum's do; so does a p of
-    zeros, whose sign fsum decides.
+    round moves the sum of q into the list and strips about 53 - g bits
+    from p, until p is zero; fsum of the list is the correctly rounded sum
+    of p, which is what fsum(p) returns.  A non-finite max|p| or one above
+    2^900 (where sigma could overflow) gives p itself as the list, so NaN,
+    inf and fsum's OverflowError behave as fsum's do; so does a p of zeros,
+    whose sign fsum decides.
     """
     guard = (len(p) + 1).bit_length()
     parts = []
@@ -421,13 +459,13 @@ def _exact_sum(p: np.ndarray) -> float:
         if top == 0.0 and parts:
             break
         if not 0.0 < top <= 2.0**900:
-            return math.fsum(p.tolist())
+            return p.tolist()
         sigma = math.ldexp(1.0, guard + math.frexp(top)[1])
         q = p + sigma
         q -= sigma
         parts.append(float(q.sum()))
         p -= q
-    return math.fsum(parts)
+    return parts
 
 
 def _exact_row_sum(values: list, n: int) -> Fraction:
@@ -461,9 +499,13 @@ def _residuals(coeffs: Coefficients, ns: Sequence[int]):
             rn = Fraction(t, n)
             yield _exact_row_sum(coeffs.values, n) - rn, rn
         return
+    a = coeffs.values
     for n, rn in zip(ns, coeffs.rhs.r_float(at)):
-        row = coeffs.kernel.eval_row(n, np.arange(1, n + 1, dtype=np.int64))
-        yield _exact_sum(row * coeffs.values[1 : n + 1]) - rn, rn
+        parts = []  # row n a block of k at a time, so memory is O(SIEVE_BLOCK)
+        for lo in range(1, n + 1, SIEVE_BLOCK):
+            ks = np.arange(lo, min(lo + SIEVE_BLOCK, n + 1), dtype=np.int64)
+            parts += _exact_parts(coeffs.kernel.eval_row(n, ks) * a[lo : lo + len(ks)])
+        yield math.fsum(parts) - rn, rn
 
 
 def residual(coeffs: Coefficients, n: int):
@@ -551,13 +593,18 @@ def ingham_coeff_closed(
         ]
         out = np.zeros(limit + 1, dtype=object)
     else:
-        d = np.arange(limit + 1, dtype=np.float64)
-        t = np.zeros(limit + 1, dtype=np.float64)
+        # t holds p(d) = d^(1-beta), then t(d) = p(d) - p(d-1) in place, the
+        # top block first, so each block still reads the p(lo-1) below it
+        t = np.arange(limit + 1, dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t[2:] = d[2:] ** (1.0 - beta) - d[1:-1] ** (1.0 - beta)
-        bad = np.flatnonzero(~np.isfinite(t[2:]))
-        if len(bad):
-            raise ValueError("beta %g: t(n) is not finite at n=%d" % (beta, bad[0] + 2))
+            t **= 1.0 - beta
+            for hi in range(limit + 1, 2, -SIEVE_BLOCK):
+                lo = max(2, hi - SIEVE_BLOCK)
+                t[lo:hi] -= t[lo - 1 : hi - 1]
+        t[:2] = 0.0
+        bad = _first_nonfinite(t, 2)
+        if bad is not None:
+            raise ValueError("beta %g: t(n) is not finite at n=%d" % (beta, bad))
         out = np.zeros(limit + 1, dtype=np.float64)
     divisor_pass(out, mu, 1, t)
     out += mu
@@ -595,12 +642,31 @@ def _checkpoint_array(coeffs: Coefficients, checkpoints: Sequence[int]) -> np.nd
 
 
 def partial_sums(coeffs: Coefficients, checkpoints: Sequence[int]) -> PartialSumSeries:
-    """A(x) and A1(x) at the given ascending checkpoints (one cumulative pass)."""
+    """A(x) and A1(x) at the given ascending checkpoints.
+
+    One cumulative pass, a block of n at a time: each block's cumsum starts
+    from the last sum of the block before, added into its first element,
+    which is np.cumsum's own sequence of additions, so the values are its
+    bits, in O(SIEVE_BLOCK) memory.
+    """
     cps = _checkpoint_array(coeffs, checkpoints)
     a = coeffs.values_float()
-    ca = np.cumsum(a)
-    cb = np.cumsum(np.arange(coeffs.limit + 1, dtype=np.float64) * a)
-    return PartialSumSeries(checkpoints=cps, A=ca[cps], A1=cb[cps])
+    ca, cb = np.empty(len(cps)), np.empty(len(cps))
+    sum_a = sum_b = 0.0  # A(lo - 1) and A1(lo - 1)
+    for lo in range(0, int(cps[-1]) + 1, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, int(cps[-1]) + 1)
+        block_a = a[lo:hi].copy()
+        block_b = np.arange(lo, hi, dtype=np.float64) * block_a
+        if lo:  # a[0] + 0.0 would turn a -0.0 into 0.0
+            block_a[0] += sum_a
+            block_b[0] += sum_b
+        np.cumsum(block_a, out=block_a)
+        np.cumsum(block_b, out=block_b)
+        sum_a, sum_b = block_a[-1], block_b[-1]
+        j = slice(np.searchsorted(cps, lo), np.searchsorted(cps, hi))
+        ca[j] = block_a[cps[j] - lo]
+        cb[j] = block_b[cps[j] - lo]
+    return PartialSumSeries(checkpoints=cps, A=ca, A1=cb)
 
 
 def partial_sums_exact(coeffs: Coefficients, checkpoints: Sequence[int]):
@@ -618,12 +684,19 @@ def l0_three_smooth(limit: int) -> np.ndarray:
     """L0(n) = #{m <= n : m = 2^a 3^b}, n = 0..limit (L0[0] = 0), int64."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    hits = np.zeros(limit + 1, dtype=np.int64)
+    return _l0(np.arange(limit + 1, dtype=np.int64))
+
+
+def _l0(ns: np.ndarray) -> np.ndarray:
+    """L0(n) at each n >= 0 of the int array ns, int64: the number of
+    3-smooth m = 2^a 3^b <= n, found by one searchsorted over them."""
+    top = int(ns.max(initial=1))
+    smooth = []
     p2 = 1
-    while p2 <= limit:
+    while p2 <= top:
         v = p2
-        while v <= limit:
-            hits[v] = 1
+        while v <= top:
+            smooth.append(v)
             v *= 3
         p2 *= 2
-    return np.cumsum(hits)
+    return np.searchsorted(np.sort(np.array(smooth, dtype=np.int64)), ns, side="right")

@@ -1,6 +1,5 @@
 import cmath
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -234,18 +233,12 @@ def test_blocked_mellin_sum_matches_one_row_sum(kernel):
             assert got == want  # one block is the one-row sum, bit for bit
 
 
-def test_mellin_sum_allocates_blocks_not_rows():
+def test_mellin_sum_allocates_blocks_not_rows(traced_peak):
     # one n-long complex row is 16 MB at n = 10**6 and a one-row sum peaks
     # at 45.9 MB; the blocked sum holds a few SIEVE_BLOCK-long arrays
     kernel = Ingham()
     kernel.mellin_sum(-1 + 0.5j, 100)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        kernel.mellin_sum(-1 + 0.5j, 10**6)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: kernel.mellin_sum(-1 + 0.5j, 10**6))
     assert peak <= 24 * 2**20
 
 

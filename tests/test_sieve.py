@@ -3,7 +3,6 @@ import io
 import math
 import os
 import struct
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from raflab.asymptotics import mertens_ratio_report
 from raflab.sieve import (
     CapacityError,
-    DIVISOR_PASS_K,
     MAX_SIEVE_LIMIT,
     SIEVE_BLOCK,
     divisor_pass,
@@ -118,38 +116,25 @@ def test_cache_roundtrip_across_blocks(tmp_path):
         load_cache(str(path), 100)
 
 
-def _traced_peak(fn):
-    """fn's result and the most memory it held at once beyond what was
-    allocated before it ran, as tracemalloc sees it (numpy reports its
-    array buffers there)."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
-def test_blocked_passes_allocate_nothing_n_long_beyond_the_outputs(tmp_path):
+def test_blocked_passes_allocate_nothing_n_long_beyond_the_outputs(tmp_path, traced_peak):
     # the outputs take 9 bytes per entry (int8 mu, int64 mertens); the blocks
     # add O(SIEVE_BLOCK) on top, however large N is.  At its peak a
     # whole-array sieve holds 16 more bytes per entry, a whole-array load 9
     # and a whole-array ratio scan 32.
     n = 4 * SIEVE_BLOCK
     bound = 9 * (n + 1) + 16 * SIEVE_BLOCK
-    t, peak = _traced_peak(lambda: sieve(n))
+    t, peak = traced_peak(lambda: sieve(n))
     assert peak <= bound
     path = str(tmp_path / "sieve.bin")
     # mu is written from its own int8 buffer, not from an n + 1 byte copy
-    _, peak = _traced_peak(lambda: save_cache(t, path))
+    _, peak = traced_peak(lambda: save_cache(t, path))
     assert peak < n + 1
-    loaded, peak = _traced_peak(lambda: load_cache(path))
+    loaded, peak = traced_peak(lambda: load_cache(path))
     assert np.array_equal(loaded.mertens, t.mertens)
     assert peak <= bound
     # one float64 block buffer, one block temporary and numpy's cast
     # buffers, against the 8n bytes of a single n-long float64 array
-    rep, peak = _traced_peak(lambda: mertens_ratio_report(t, n))
+    rep, peak = traced_peak(lambda: mertens_ratio_report(t, n))
     assert rep.argmax_x == 5
     assert peak <= 2 * 8 * SIEVE_BLOCK + 2**18 < 8 * n
 
@@ -301,10 +286,13 @@ def reference_divisor_pass(target, weights, sign, mult=None):
                 target[2 * d : top * d + 1 : d] -= step
 
 
-K = DIVISOR_PASS_K
-# below K, on multiples of K (where the strided/blocked split moves) and next to them
+# where divisor_pass's split moves: at squares r^2 the strided part gains
+# d = r, and at powers of two the dyadic blocks of the larger d shift; each
+# with its neighbours
 PASS_SIZES = st.one_of(
-    st.sampled_from([1, 2, 3, K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1, K * K, K * K + 1]),
+    st.sampled_from(sorted({m + e for m in [r * r for r in (2, 3, 7, 8, 31, 32, 54)]
+                            + [2**j for j in (1, 2, 3, 6, 7, 10, 11)]
+                            for e in (-1, 0, 1)} - {0})),
     st.integers(min_value=1, max_value=3000),
 )
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from raflab.asymptotics import _ols_loglog, default_checkpoints, hlr_report
 from raflab.kernels import Affine, Disc, GeneralizedIngham, Ingham, LogKernel, RationalRaf
-from raflab.sieve import DIVISOR_PASS_K, sieve
+from raflab.sieve import SIEVE_BLOCK, divisor_pass, primes_upto, sieve
 from raflab.solver import (
     BackendMismatchError,
     Coefficients,
@@ -256,12 +257,12 @@ def reference_coeff_closed(table, beta, limit):
     return out
 
 
-K = DIVISOR_PASS_K
-# below K, at K, 2K and K*K (where divisor_pass's strided part gains its
-# first, second and K-th d) and next to them
+# at squares r^2 (where divisor_pass's strided part gains d = r) and powers
+# of two (where its dyadic blocks of the larger d shift), and next to them
 CLOSED_SIZES = st.one_of(
-    st.sampled_from([1, 2, K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1,
-                     K * K - 1, K * K, K * K + 1]),
+    st.sampled_from(sorted({m + e for m in [r * r for r in (2, 3, 8, 31, 32, 70)]
+                            + [2**j for j in (1, 2, 6, 7, 11, 12)]
+                            for e in (-1, 0, 1)} - {0})),
     st.integers(min_value=1, max_value=5000),
 )
 # beta = -400 overflows t(d) from d = 6 on, which the closed form refuses
@@ -565,3 +566,99 @@ def test_r_float_at_a_subset_is_the_full_table(rhs, size):
     for ns in (rng.integers(0, n + 1, size), np.sort(rng.choice(n + 1, size, replace=False)),
                np.arange(n + 1 - size, n + 1)):
         assert rhs.r_float(ns).tobytes() == full[ns].tobytes()
+
+
+# ---------------------------------------------------------------- blocked float pipeline
+
+
+def _whole_array_solve(kernel, rhs, n):
+    """The divisor-path solve on whole arrays: R and T over 0..N at once,
+    s(m) = T(m) - T(m-1) from a copy of T, one division by 1..N."""
+    u = kernel.dirichlet_weights(n)
+    ns = np.arange(n + 1)
+    if rhs.kind == "delta":
+        r = (ns == 1).astype(np.float64)
+    else:
+        with np.errstate(divide="ignore"):
+            r = ns.astype(np.float64) ** (-rhs.beta)
+        r[0] = 0.0
+        if rhs.kind == "l0pow":
+            r *= l0_three_smooth(n)
+    t = r * ns
+    t[1:] -= t[:-1].copy()
+    divisor_pass(t, t, -1)
+    if u[1] != 1:
+        t /= u[1]
+    if np.any(u[2:]):
+        divisor_pass(t, t, -1, u / u[1])
+    t[1:] /= np.arange(1, n + 1)
+    return t
+
+
+def _bits_equal(got, want):
+    return got.tobytes() == want.tobytes()
+
+
+BLOCK_EDGE_SIZES = [SIEVE_BLOCK - 1, SIEVE_BLOCK, SIEVE_BLOCK + 1, 2 * SIEVE_BLOCK + 7]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+def test_blocked_float_pipeline_matches_whole_arrays_at_block_edges(n):
+    cases = [(Ingham(), RhsSpec("power", 0.9815)), (Ingham(), RhsSpec("power", -1.0489)),
+             (Ingham(), RhsSpec("l0pow", 1.1844)), (Ingham(), RhsSpec("delta")),
+             (GeneralizedIngham((1, -1)), RhsSpec("power", 0.5)),
+             (Disc(2.0), RhsSpec("power", 2.0477))]
+    for kernel, rhs in cases:
+        c = solve(kernel, rhs, n)
+        want = _whole_array_solve(kernel, rhs, n)
+        assert _bits_equal(c.values, want), (kernel.spec, rhs.label)  # signbit too
+        a = c.values
+        # partial sums at every x are np.cumsum's bits
+        s = partial_sums(c, np.arange(1, n + 1))
+        assert _bits_equal(s.A, np.cumsum(a)[1:])
+        assert _bits_equal(s.A1, np.cumsum(np.arange(n + 1, dtype=np.float64) * a)[1:])
+        # the blocked row sum is fsum of the whole row
+        for m in sorted({1, SIEVE_BLOCK - 1, SIEVE_BLOCK, SIEVE_BLOCK + 1, n}):
+            if m <= n:
+                row = kernel.eval_row(m, np.arange(1, m + 1, dtype=np.int64))
+                want_r = math.fsum((row * a[1 : m + 1]).tolist()) - rhs.r_float([m])[0]
+                assert struct.pack("<d", residual(c, m)) == struct.pack("<d", want_r)
+        if rhs.beta >= 0:
+            na = np.arange(n + 1, dtype=np.float64) * a
+            cmax = np.maximum.accumulate(np.abs(na[2:]))
+            cps = default_checkpoints(n)
+            cps = cps[cps >= 2]
+            rep = hlr_report(c)
+            assert rep.sup_abs == float(np.abs(na[2:]).max())
+            assert rep.growth_exponent == _ols_loglog(cps.astype(np.float64), cmax[cps - 2])[0]
+            assert rep.prime_tail_mean == float(np.mean(na[primes_upto(n)[-100:]]))
+    table = sieve(n)
+    d = np.arange(n + 1, dtype=np.float64)
+    for beta in (0.9815, -1.0, 2.5):
+        t = np.zeros(n + 1)
+        t[2:] = d[2:] ** (1.0 - beta) - d[1:-1] ** (1.0 - beta)
+        want = np.zeros(n + 1)
+        divisor_pass(want, table.mu, 1, t)
+        want += table.mu
+        assert _bits_equal(ingham_coeff_closed(table, beta, n), want), beta
+
+
+def test_blocked_float_pipeline_allocates_nothing_n_long_beyond_the_output(traced_peak):
+    # at this n a whole-array solve peaks at 40 bytes per n, partial_sums at
+    # 24, verify_residuals at 32, hlr_report at 25.6 and the closed form at
+    # 32, which is over each bound; now the solve holds its output plus
+    # O(SIEVE_BLOCK), the closed form its output and t, and the rest
+    # O(SIEVE_BLOCK)
+    n = 4 * SIEVE_BLOCK
+    solve(Ingham(), RhsSpec("l0pow", 1.0), 100)  # first-call imports outside the trace
+    for rhs in (RhsSpec("power", 0.5), RhsSpec("l0pow", 1.1844)):
+        c, peak = traced_peak(lambda: solve(Ingham(), rhs, n))
+        assert peak <= 10 * (n + 1) + 64 * SIEVE_BLOCK, rhs.label
+    cps = default_checkpoints(n)
+    for fn in (lambda: partial_sums(c, cps), lambda: verify_residuals(c),
+               lambda: hlr_report(c)):
+        _, peak = traced_peak(fn)
+        assert peak <= 64 * SIEVE_BLOCK
+    table = sieve(n)
+    _, peak = traced_peak(lambda: ingham_coeff_closed(table, 0.9815, n))
+    assert peak <= 24 * (n + 1)
