@@ -27,7 +27,7 @@ import numpy as np
 
 from .kernels import Kernel, UnsupportedKernelError
 from .mellin import PoleError, RegionError, closed_transform, zeta
-from .sieve import SIEVE_BLOCK, MobiusTable, primes_upto
+from .sieve import SIEVE_BLOCK, MobiusTable, largest_primes
 from .solver import Coefficients, PartialSumSeries, RhsSpec, partial_sums, solve
 
 VERDICT_MATCH = "asymptotic_match"
@@ -403,7 +403,7 @@ def hlr_report(coeffs: Coefficients) -> HLRReport:
             growth = 0.0
         else:
             growth, _ = _ols_loglog(cps[pos].astype(np.float64), vals[pos])
-    tail = primes_upto(limit)[-100:]
+    tail = largest_primes(limit, 100)
     tail_mean = float(np.mean(tail * a[tail])) if len(tail) else 0.0
     return HLRReport(
         sup_abs=sup_abs,

@@ -585,8 +585,19 @@ class Scaled(Kernel):
             lt = f.r * np.log(ks.astype(np.float64)) - f.r * math.log(n)
             return self.base.profile_vec(np.exp(lt))
         if isinstance(self.base, Ingham):
+            # G = m f(k)/f(n) = 1 - r/f(n) with 0 <= r < f(k), so where
+            # f(k) 2^54 <= f(n) it lies above 1 - 2^-54 and int division rounds
+            # it to exactly 1.0; f increases, so those k are the k <= kmax
             fn = f.value(n)
-            return np.array([(fn // fk) * fk / fn for fk in map(f.value, ks.tolist())])
+            kmax = max(0, n - math.ceil(54 / math.log2(f.q)))
+            while kmax < n and f.value(kmax + 1) << 54 <= fn:
+                kmax += 1
+            while kmax > 0 and f.value(kmax) << 54 > fn:
+                kmax -= 1
+            row = np.ones(len(ks))
+            tail = np.flatnonzero(ks > kmax)
+            row[tail] = [(fn // fk) * fk / fn for fk in map(f.value, ks[tail].tolist())]
+            return row
         return np.array([self.eval(n, k) for k in ks.tolist()], dtype=np.float64)
 
     def transform(self, z: complex) -> TransformResult:

@@ -6,6 +6,8 @@ Provides:
   every block, so the peak is the 9 bytes per entry of the table itself
   plus O(SIEVE_BLOCK)
 - primes_upto(limit)   -> the primes <= limit, ascending
+- largest_primes(limit, count) -> the count largest of them, from a window
+  below limit, with no limit-long array
 - totient_table(limit) -> Euler phi for all n <= limit (one divisor_pass)
 - save_cache / load_cache -> binary mu cache ("RAFSIEVE1" format); a load
   validates the whole file, the part past the kept prefix a block at a
@@ -225,6 +227,30 @@ def primes_upto(limit: int) -> np.ndarray:
         if is_prime[p]:
             is_prime[p * p :: p] = False
     return np.flatnonzero(is_prime[: limit + 1])
+
+
+def largest_primes(limit: int, count: int) -> np.ndarray:
+    """The count largest primes <= limit, ascending (all of them when there
+    are fewer): primes_upto(limit)[-count:], in O(sqrt(limit) + width)
+    memory.
+
+    The window (limit - width, limit] is struck by the primes up to
+    sqrt(limit), each from the larger of p^2 and its first multiple in the
+    window; width starts at count * bit_length(limit), about count average
+    prime gaps, and doubles until the window holds count primes or reaches
+    down to 2.
+    """
+    primes = primes_upto(math.isqrt(limit)).tolist()
+    width = count * max(1, limit.bit_length())
+    while True:
+        lo = max(2, limit - width + 1)
+        is_prime = np.ones(max(limit - lo + 1, 0), dtype=bool)
+        for p in primes:
+            is_prime[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        found = np.flatnonzero(is_prime) + lo
+        if len(found) >= count or lo == 2:
+            return found[max(0, len(found) - count) :]
+        width *= 2
 
 
 def divisor_pass(target: np.ndarray, weights: np.ndarray, sign: int, mult=None) -> None:

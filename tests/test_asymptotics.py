@@ -20,7 +20,7 @@ from raflab.asymptotics import (
     regime_check,
 )
 from raflab.kernels import Ingham
-from raflab.sieve import SIEVE_BLOCK, MobiusTable
+from raflab.sieve import SIEVE_BLOCK, MobiusTable, primes_upto
 from raflab.solver import PartialSumSeries, RhsSpec, partial_sums, solve
 
 
@@ -180,6 +180,15 @@ def test_hlr_beta_zero_trivial():
     assert h.sup_abs == 0.0
     assert h.growth_exponent == 0.0
     assert h.prime_tail_mean == 0.0
+
+
+@pytest.mark.parametrize("limit", [2, 3, 100, 541, 542, 10**6])
+def test_hlr_prime_tail_is_the_last_100_primes(limit):
+    c = solve(Ingham(), RhsSpec("power", 0.7), limit)
+    tail = primes_upto(limit)[-100:]
+    h = hlr_report(c)
+    assert h.primes_used == len(tail)
+    assert h.prime_tail_mean == float(np.mean(tail * c.values[tail]))
 
 
 def test_hlr_validation():

@@ -15,6 +15,7 @@ from raflab.sieve import (
     MAX_SIEVE_LIMIT,
     SIEVE_BLOCK,
     divisor_pass,
+    largest_primes,
     load_cache,
     primes_upto,
     save_cache,
@@ -178,6 +179,23 @@ def test_primes_upto_matches_trial_division():
         want = [n for n in range(2, limit + 1)
                 if all(n % q for q in range(2, math.isqrt(n) + 1))]
         assert primes_upto(limit).tolist() == want
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 100, 541, 542, 10**6])
+def test_largest_primes_are_the_tail_of_primes_upto(limit):
+    # 541 is the 100th prime: its window must reach down to 2
+    want = primes_upto(limit)
+    for count in (1, 100):
+        got = largest_primes(limit, count)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want[max(0, len(want) - count) :].tolist()
+
+
+def test_largest_primes_holds_no_limit_long_array(traced_peak):
+    n = 4 * SIEVE_BLOCK
+    got, peak = traced_peak(lambda: largest_primes(n, 100))
+    assert got.tolist() == primes_upto(n)[-100:].tolist()
+    assert peak <= n // 16  # an n-long bool array alone takes n bytes
 
 
 def test_totient_table():
