@@ -35,7 +35,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .sieve import MobiusTable, divisor_pass, totient_table
+from .sieve import MobiusTable, _iroot, divisor_pass, totient_table
 from .solver import VerificationError, l0_three_smooth
 
 _COUNT_KINDS = ("coprime_tuples", "p_free", "prime_powers", "smooth", "elias_gamma")
@@ -140,18 +140,6 @@ def parse_count_what(what: str, n: int) -> CountSpec:
     raise ValueError(
         "bad count spec %r — use coprime:<m>|pfree:<p>|ppow:<p>|smooth:<p,..>|elias" % (what,)
     )
-
-
-def _iroot(n: int, p: int) -> int:
-    """floor(n^(1/p)) by float seed + integer correction (exact)."""
-    if n < 1:
-        return 0
-    r = int(round(n ** (1.0 / p)))
-    while r > 0 and r**p > n:
-        r -= 1
-    while (r + 1) ** p <= n:
-        r += 1
-    return r
 
 
 # --------------------------------------------------------------------------

@@ -11,11 +11,23 @@ profile_vec(ks/n).  ingham and genin override eval/eval_row to floor n/k by
 integer division (below), ratraf defines its own, and a scaled kernel
 evaluates g at f(k)/f(n).
 
+Structure: Kernel.structure(limit) declares the one property of G that
+solver.solve() dispatches on, or None for none of them:
+    Divisor(u, rho)   n^rho G(n,k)/k^rho = sum_j u_j floor((n/(j*k))^rho),
+                      rho = 1/p: ingham, genin, disc with integer lam, and
+                      ingham rescaled by x^(1/p) (u = delta, rho = 1/p)
+    Separable(p, q)   G(n,k) = p[0,n] q[0,k] + p[1,n] q[1,k]: affine, log
+    Hankel(h)         G(n,k) = h[n+k]: ratraf
+    Band(n0, e)       rows n >= n0 are 1 up to a fixed band e at the
+                      diagonal: ingham rescaled by q^x+1
+A kernel rescaled by the identity declares its base's structure.
+
 Floor conventions: wherever the profile contains a floor of a rational
 ratio (the x*floor(1/x) profile and its generalized version), the floor is
 computed by integer division of integers, never by flooring a float ratio —
 floating division is off-by-one-prone exactly at divisor points, where the
-counting identities need exactness.
+counting identities need exactness.  The same holds for ingham rescaled by
+x^(1/p): floor((n/k)^(1/p)) is the integer p-th root of n // k.
 
 Each kernel declares its arithmetic Mellin transform
 G*(z) = lim_n (-z/n) sum_{k<=n} G(n,k) (k/n)^(-z-1): transform(z) is the
@@ -41,14 +53,16 @@ G_f*(z) = lim f(n)^z sum_{k<=n} (f(k)^-z - f(k-1)^-z) g(f(k)/f(n)):
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Union
 
 import numpy as np
 
-from .sieve import SIEVE_BLOCK, divisor_pass
+from .sieve import SIEVE_BLOCK, _iroot, divisor_pass
 
 
 class KernelDomainError(ValueError):
@@ -132,6 +146,15 @@ class FSpec:
         return x * math.log(self.q) + math.log1p(self.q ** (-float(x)) if x < 1020 else 0.0)
 
     @property
+    def root(self) -> Optional[int]:
+        """p when f(x) = x^(1/p) for an integer p, i.e. r is the float 1/p;
+        None for every other f."""
+        if self.kind != "power":
+            return None
+        p = round(1.0 / self.r)
+        return p if 1.0 / p == self.r else None
+
+    @property
     def label(self) -> str:
         if self.kind == "identity":
             return "id"
@@ -141,6 +164,51 @@ class FSpec:
 
 
 IDENTITY = FSpec("identity")
+
+
+# --------------------------------------------------------------------------
+# structure declarations (Kernel.structure), read by solver.solve alone
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Divisor:
+    """n^rho G(n,k)/k^rho = sum_{j<=n/k} u_j floor((n/(j*k))^rho) for all
+    k <= n <= limit, with rho = 1/p for an integer p >= 1; u_0..u_L, u_0
+    unused and u_j = 0 past the array."""
+
+    u: np.ndarray
+    rho: float = 1.0
+
+
+@dataclass(frozen=True)
+class Separable:
+    """G(n,k) = p[0,n] q[0,k] + p[1,n] q[1,k] for all k <= n <= limit; p and
+    q of shape (2, limit+1)."""
+
+    p: np.ndarray
+    q: np.ndarray
+
+
+@dataclass(frozen=True)
+class Hankel:
+    """G(n,k) = h[n+k] for all k <= n <= limit, bit for bit eval_row's
+    entries; h_0..h_{2*limit}."""
+
+    h: np.ndarray
+
+
+@dataclass(frozen=True)
+class Band:
+    """For every n >= n0: G(n, n-d) = e[d] for 0 <= d < len(e), and
+    G(n,k) = 1.0 for k <= n - len(e), bit for bit eval_row's entries;
+    rows below n0 follow no pattern.  n0 >= len(e)."""
+
+    n0: int
+    e: tuple
+
+
+Structure = Union[Divisor, Separable, Hankel, Band]
 
 
 # --------------------------------------------------------------------------
@@ -172,22 +240,10 @@ class Kernel:
         """g(t) over a float array (scalar profile calls unless overridden)."""
         return np.array([self.profile(float(x)) for x in t])
 
-    def dirichlet_weights(self, limit: int):
-        """u_0..u_L (u_0 unused, u_j = 0 for j > L) with
-        n*G(n,k)/k = sum_{j<=n/k} u_j floor(n/(j*k)) for all k <= n <= limit,
-        or None when the kernel has no such divisor structure."""
-        return None
-
-    def separable_factors(self, limit: int):
-        """(P, Q), each of shape (2, limit+1), with
-        G(n,k) = P[0,n]*Q[0,k] + P[1,n]*Q[1,k] for all k <= n <= limit,
-        or None when the kernel is not rank-2 separable."""
-        return None
-
-    def hankel_values(self, limit: int):
-        """h_0..h_{2*limit} with G(n,k) = h[n+k] for all k <= n <= limit,
-        bit for bit equal to eval_row's entries, or None when G does not
-        depend on n+k alone."""
+    def structure(self, limit: int) -> Optional[Structure]:
+        """The structure G has on 1 <= k <= n <= limit (Divisor, Separable,
+        Hankel or Band; see the module docstring), or None when it has none
+        of them and solve() runs the generic O(N^2) loop."""
         return None
 
     def transform(self, z: complex) -> TransformResult:
@@ -237,8 +293,8 @@ class Ingham(Kernel):
         ks = np.asarray(ks, dtype=np.int64)
         return (ks * (n // ks)) / float(n)
 
-    def dirichlet_weights(self, limit: int) -> np.ndarray:
-        return np.array([0.0, 1.0])  # u = delta: n*G(n,k)/k = floor(n/k)
+    def structure(self, limit: int) -> Divisor:
+        return Divisor(np.array([0.0, 1.0]))  # u = delta: n*G(n,k)/k = floor(n/k)
 
     def transform(self, z: complex) -> TransformResult:
         from .mellin import zeta  # mellin imports this module
@@ -289,11 +345,11 @@ class Affine(Kernel):
             raise PoleError("transform pole at z = 1")
         return TransformResult(self.lam + (1.0 - self.lam) * z / (z - 1.0), "closed")
 
-    def separable_factors(self, limit: int):
+    def structure(self, limit: int) -> Separable:
         # G(n,k) = lam*1 + ((1-lam)/n)*k; index 0 is unused
         n = np.arange(limit + 1, dtype=np.float64)
         p = np.stack([np.full(limit + 1, self.lam), (1.0 - self.lam) / np.maximum(n, 1.0)])
-        return p, np.stack([np.ones(limit + 1), n])
+        return Separable(p, np.stack([np.ones(limit + 1), n]))
 
     @property
     def spec(self) -> str:
@@ -323,11 +379,11 @@ class LogKernel(Kernel):
             raise PoleError("transform pole at z = 0")
         return TransformResult(1.0 - self.lam / z, "closed")
 
-    def separable_factors(self, limit: int):
+    def structure(self, limit: int) -> Separable:
         # G(n,k) = (1 + lam*ln n)*1 + (-lam)*ln k; index 0 is unused
         ln = np.log(np.maximum(np.arange(limit + 1, dtype=np.float64), 1.0))
         p = np.stack([1.0 + self.lam * ln, np.full(limit + 1, -self.lam)])
-        return p, np.stack([np.ones(limit + 1), ln])
+        return Separable(p, np.stack([np.ones(limit + 1), ln]))
 
     @property
     def spec(self) -> str:
@@ -371,7 +427,7 @@ class Disc(Kernel):
         j = np.floor(-np.log(t) / math.log(self.lam) + _DISC_SNAP)
         return t * np.power(self.lam, j)
 
-    def dirichlet_weights(self, limit: int):
+    def structure(self, limit: int) -> Optional[Divisor]:
         # Integer lam: n*G(n,k)/k = lam^floor(log_lam floor(n/k)), which is
         # sum_{m<=n/k} w(m) for w = delta_1 + sum_{i>=1} (lam^i - lam^(i-1))
         # delta_{lam^i}.  So 1 * u = w, and u = mu * w.  The powers are
@@ -386,7 +442,7 @@ class Disc(Kernel):
             u[p] = p - p // lam
             p *= lam
         divisor_pass(u, u, -1)  # w becomes mu * w
-        return u
+        return Divisor(u)
 
     def transform(self, z: complex) -> TransformResult:
         lam = self.lam
@@ -436,11 +492,11 @@ class RationalRaf(Kernel):
         s = n + np.asarray(ks, dtype=np.float64)
         return (s + self.x) / (s + self.y)
 
-    def hankel_values(self, limit: int) -> np.ndarray:
+    def structure(self, limit: int) -> Hankel:
         # s = n+k <= 2*limit is an exact float64, so h[s] repeats eval_row's
         # float ops on the same operands and matches it bit for bit
         s = np.arange(2 * limit + 1, dtype=np.float64)
-        return (s + self.x) / (s + self.y)
+        return Hankel((s + self.x) / (s + self.y))
 
     def transform(self, z: complex) -> TransformResult:
         return TransformResult(1.0 + 0.0j, "closed", note="constant transform")
@@ -453,6 +509,10 @@ class RationalRaf(Kernel):
 # GeneralizedIngham.profile takes O(sqrt(floor(1/t))) time and memory (one
 # call at this cap, t ~ 6e-14, sums two 4e6-entry arrays); smaller t is refused
 GENIN_PROFILE_MAX_Q = 2**44
+
+# Below this q, W(q) is the direct sum, one np.dot over j <= q; from it on,
+# the O(sqrt q) block sum of _w, whose twenty-odd numpy calls cost more.
+_GENIN_DIRECT_Q = 4096
 
 
 @dataclass(frozen=True)
@@ -493,14 +553,13 @@ class GeneralizedIngham(Kernel):
         # residual row stays an independent check of it
         ks = np.asarray(ks, dtype=np.int64)
         qs, where = np.unique(n // ks, return_inverse=True)
-        w = np.array([self._w(q) for q in qs.tolist()], dtype=np.float64)
-        return w[where] * ks / float(n)
+        return self._ws(qs.tolist())[where] * ks / float(n)
 
-    def dirichlet_weights(self, limit: int) -> np.ndarray:
+    def structure(self, limit: int) -> Divisor:
         u = np.zeros(limit + 1)
         for j, w in enumerate(self.weights, 1):  # u_j = weights[(j-1) % period]
             u[j :: len(self.weights)] = w
-        return u
+        return Divisor(u)
 
     def profile(self, t: float) -> float:
         # t * W(floor(1/t)); the same snap as Ingham.profile: t = 1/m
@@ -510,7 +569,16 @@ class GeneralizedIngham(Kernel):
             raise KernelDomainError(
                 "genin profile at t=%g needs floor(1/t) <= %d" % (t, GENIN_PROFILE_MAX_Q)
             )
-        return self._w(math.floor(x)) * t
+        return float(self._ws([math.floor(x)])[0]) * t
+
+    def _ws(self, qs: list) -> np.ndarray:
+        """W(q) for each integer q >= 1 of qs: the direct sum
+        sum_{j<=q} u_j floor(q/j), one np.dot, below _GENIN_DIRECT_Q, else _w."""
+        top = min(max(qs, default=0), _GENIN_DIRECT_Q - 1)
+        u = np.resize(np.array(self.weights), top)  # u_j = weights[(j-1) % period]
+        j = np.arange(1, top + 1)
+        return np.array([np.dot(u[:q], q // j[:q]) if q < _GENIN_DIRECT_Q else self._w(q)
+                         for q in qs], dtype=np.float64)
 
     def _w(self, q: int) -> float:
         """W(q) = sum_{j<=q} u_j floor(q/j) for an integer q >= 1."""
@@ -574,6 +642,9 @@ class Scaled(Kernel):
                 "%s at n=%d, k=%d: f(k)/f(n) = exp(%.6g) is below the smallest "
                 "normal float" % (self.spec, n, k, lt)
             )
+        p = self._ingham_root
+        if p is not None:
+            return t * _iroot(n // k, p)  # floor((n/k)^(1/p)) = floor((n//k)^(1/p))
         return self.base.profile(t)
 
     def eval_row(self, n: int, ks: np.ndarray) -> np.ndarray:
@@ -582,8 +653,11 @@ class Scaled(Kernel):
             return self.base.eval_row(n, ks)
         ks = np.asarray(ks, dtype=np.int64)
         if f.kind == "power":
-            lt = f.r * np.log(ks.astype(np.float64)) - f.r * math.log(n)
-            return self.base.profile_vec(np.exp(lt))
+            t = np.exp(f.r * np.log(ks.astype(np.float64)) - f.r * math.log(n))
+            p = self._ingham_root
+            if p is not None:
+                return t * _iroot_vec(n // ks, p)
+            return self.base.profile_vec(t)
         if isinstance(self.base, Ingham):
             # G = m f(k)/f(n) = 1 - r/f(n) with 0 <= r < f(k), so where
             # f(k) 2^54 <= f(n) it lies above 1 - 2^-54 and int division rounds
@@ -599,6 +673,21 @@ class Scaled(Kernel):
             row[tail] = [(fn // fk) * fk / fn for fk in map(f.value, ks[tail].tolist())]
             return row
         return np.array([self.eval(n, k) for k in ks.tolist()], dtype=np.float64)
+
+    @property
+    def _ingham_root(self) -> Optional[int]:
+        """p when this is ingham rescaled by x^(1/p), else None."""
+        return self.f.root if isinstance(self.base, Ingham) else None
+
+    def structure(self, limit: int) -> Optional[Structure]:
+        if self.f.kind == "identity":
+            return self.base.structure(limit)
+        if not isinstance(self.base, Ingham):
+            return None
+        if self.f.kind == "exp_plus_one":
+            return _exp_band(self.f.q)
+        # x^(1/p): n^(1/p) G(n,k)/k^(1/p) = floor((n/k)^(1/p)), u = delta
+        return None if self._ingham_root is None else Divisor(np.array([0.0, 1.0]), self.f.r)
 
     def transform(self, z: complex) -> TransformResult:
         f = self.f
@@ -667,6 +756,51 @@ class Scaled(Kernel):
     @property
     def spec(self) -> str:
         return "scaled:%s:%s" % (self.base.spec, self.f.label)
+
+
+def _iroot_vec(x: np.ndarray, p: int) -> np.ndarray:
+    """floor(x^(1/p)) for each x of an int64 array, 0 <= x < 2^53: the float
+    root, then one -1 and one +1 fix-up in int64.  A power whose float value
+    passes 2^62 counts as above x, so no int64 power that is compared
+    overflows."""
+
+    def above(m):  # m^p > x
+        with np.errstate(over="ignore"):
+            return (m.astype(np.float64) ** p > 2.0**62) | (m**p > x)
+
+    m = np.floor(x ** (1.0 / p)).astype(np.int64)
+    m -= above(m)
+    m += ~above(m + 1)
+    return m
+
+
+@functools.lru_cache(maxsize=None)
+def _exp_band(q: int) -> Band:
+    """The band of ingham rescaled by f(x) = q^x + 1.
+
+    With d = n - k <= k, f(n) = (q^d - 1) f(k) + q^k + 2 - q^d, so
+    G(n, n-d) = x_d + delta with x_d = 1 - q^-d and
+    0 < delta = (q^d + q^-d - 2)/(q^n + 1) < q^(d-n).  x_d rounds to e_d
+    and lies at or above the rounding midpoint below e_d, so G(n, n-d)
+    rounds to e_d too once x_d + q^(d-n) is at most the midpoint above:
+    from n = d + k_d on, k_d the least k with q^k (mid - x_d) >= 1 (Goldberg,
+    "What every computer scientist should know about floating-point
+    arithmetic", ACM Computing Surveys 23, 1991).  With
+    c = ceil(54/log2 q) + 1, q^(c-1) >= 2^54, so for d > c
+    f(k) 2^54 <= f(n) and G(n,k) = 1.0, eval_row's own fill.  n0 is the
+    largest of 2d and d + k_d over d <= c: 2c at q = 2, 3 and 10.
+    """
+    c = math.ceil(54 / math.log2(q)) + 1
+    e, n0 = [1.0], 1
+    for d in range(1, c + 1):
+        qd = q**d
+        e.append((qd - 1) / qd)  # int true division rounds the exact ratio
+        gap = Fraction(e[d]) + Fraction(math.ulp(e[d])) / 2 - Fraction(qd - 1, qd)
+        k = 0
+        while q**k * gap < 1:
+            k += 1
+        n0 = max(n0, 2 * d, d + k)
+    return Band(n0, tuple(e))
 
 
 # --------------------------------------------------------------------------

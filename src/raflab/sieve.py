@@ -215,6 +215,18 @@ def _check_mu_bytes(mu: np.ndarray, path: str) -> None:
         raise ValueError("RAFSIEVE1 cache %r: mu value outside {-1, 0, 1}" % (path,))
 
 
+def _iroot(n: int, p: int) -> int:
+    """floor(n^(1/p)) by float seed + integer correction (exact)."""
+    if n < 1:
+        return 0
+    r = int(round(n ** (1.0 / p)))
+    while r > 0 and r**p > n:
+        r -= 1
+    while (r + 1) ** p <= n:
+        r += 1
+    return r
+
+
 def primes_upto(limit: int) -> np.ndarray:
     """The primes p <= limit, ascending, int64 (empty below 2).
 

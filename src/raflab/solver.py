@@ -4,25 +4,32 @@ Right-hand sides (RhsSpec, the one evaluator of R, at any n): R(n) = n^-beta
 ("power"), the delta sequence (1,0,0,...) — the beta = infinity limit — and
 n^-beta * L0(n) with L0 the 3-smooth counting function ("l0pow").
 
-solve() picks its path from what the kernel declares, never from the
-kernel's class, in this order:
-  * divisor   — O(N log N), for kernels with Dirichlet weights u
-                (Kernel.dirichlet_weights: ingham, genin, disc with integer
-                lam); float, or, on ints and Fractions, exact when u = delta
-                and every R(n) is rational (delta, integer beta >= 0).
-  * separable — O(N), float only, for rank-2 separable kernels
-                (Kernel.separable_factors: affine, log).
-  * hankel    — O(N log^2 N), float only, for kernels with G(n,k) = h[n+k]
-                (Kernel.hankel_values: ratraf), by divide and conquer over
-                the rows: solve the left half of [lo, hi), add its part of
-                every row sum of the right half with one FFT correlation,
-                then solve the right half; blocks of _HANKEL_LEAF rows or
-                fewer run the per-row dot.  The bits differ from the dense
-                rows' (the FFT rounds differently), so the post-solve check
-                tests the whole verify_residuals sample on eval_row rows.
-  * generic   — O(N^2) forward substitution, float only, for every other
-                kernel (scaled, disc with non-integer lam), with rows from
-                kernel.eval_row; refused above GENERIC_CAP.
+solve() picks its path from the one declaration Kernel.structure(limit)
+returns, never from the kernel's class:
+  * Divisor   — O(N log N), for n^rho G(n,k)/k^rho =
+                sum_j u_j floor((n/(j*k))^rho) with rho = 1/p (ingham, genin,
+                disc with integer lam: rho = 1; ingham rescaled by x^(1/p):
+                u = delta, rho = 1/p); float, or, on ints and Fractions,
+                exact when u = delta, rho = 1 and every R(n) is rational
+                (delta, integer beta >= 0).
+  * Separable — O(N), float only, for rank-2 separable kernels (affine, log).
+  * Hankel    — O(N log^2 N), float only, for G(n,k) = h[n+k] (ratraf), by
+                divide and conquer over the rows: solve the left half of
+                [lo, hi), add its part of every row sum of the right half
+                with one FFT correlation, then solve the right half; blocks
+                of _HANKEL_LEAF rows or fewer run the per-row dot.
+  * Band      — O(N c), float only, for rows n >= n0 that are 1.0 up to a
+                band of c + 1 entries at the diagonal (ingham rescaled by
+                q^x+1): rows below n0 from kernel.eval_row, then a running
+                prefix sum plus c band terms per row.  Row n0 is compared
+                with eval_row before the band is used.
+  * None      — generic O(N^2) forward substitution, float only, for every
+                other kernel (non-integer disc, other rescalings), with rows
+                from kernel.eval_row; refused above GENERIC_CAP.
+The Hankel, Band and rho < 1 divisor solves sum in another order than the
+dense eval_row rows, and the generic one builds each row on its own, so
+after them the post-solve check tests the whole verify_residuals sample on
+eval_row rows; after the rho = 1 divisor and separable paths it tests n = N.
 
 Divisor-path algebra (convention-free, used by both backends): when
 n*G(n,k)/k = sum_{j<=n/k} u_j floor(n/(j*k)), multiply the defining
@@ -36,6 +43,11 @@ T(m) - T(m-1), T(m) = m R(m) (RhsSpec.t_exact or m * r_float on the two
 backends).  One in-place pass, sieve.divisor_pass(s, s, -1),
 strips the 1 and leaves c = mu * s = u * b; a second pass with
 mult = u/u_1 then solves u_1 b_m = c(m) - sum_{d|m, d<m} u_{m/d} b_d.
+With rho = 1/p, floor((n/(j*k))^rho) counts the i with i^p*j*k <= n, so
+the same steps with b_k = k^rho a_k and T(m) = m^rho R(m) give
+(w * u * b)(m) = s(m), w the indicator of the p-th powers; the first pass
+takes mult = w and strips w (its inverse is mu(i) at i^p: Apostol,
+Introduction to Analytic Number Theory, 1976, ch. 2).
 The x*floor(1/x) kernel is u = delta (u_1 = 1, no other weight), so it
 needs only the first pass.  The geometric staircase with integer lam has
 n*G(n,k)/k = lam^floor(log_lam floor(n/k)) = sum_{m<=n/k} w(m) with
@@ -72,8 +84,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .kernels import Kernel
-from .sieve import SIEVE_BLOCK, MobiusTable, divisor_pass
+from .kernels import Band, Divisor, Hankel, Kernel, Separable
+from .sieve import SIEVE_BLOCK, MobiusTable, _iroot, divisor_pass
 
 # Largest N the generic O(N^2) forward substitution accepts.
 GENERIC_CAP = 20_000
@@ -241,38 +253,40 @@ def solve(
 ) -> Coefficients:
     """Solve the triangular system for a_1..a_limit.
 
-    Unless force_generic is set, a kernel with Dirichlet weights u
-    (kernel.dirichlet_weights) takes the O(N log N) divisor path,
-    (1 * u * b) = s with b_k = k*a_k, one without weights but with
-    rank-2 factors (kernel.separable_factors) the O(N) separable path, and
-    one with G(n,k) = h[n+k] (kernel.hankel_values) the O(N log^2 N) Hankel
-    path, which forms the row sums sum_{k<n} a_k h[n+k] by divide and
-    conquer with FFT correlations.  Every other kernel runs the generic
-    forward substitution a_n = (R(n) - sum_{k<n} a_k G(n,k)) / G(n,n) on
+    Unless force_generic is set, the path is the one kernel.structure(limit)
+    declares (see the module docstring): Divisor, O(N log N), solves
+    (w * u * b) = s with b_k = k^rho a_k; Separable, O(N), runs the rank-2
+    recurrence; Hankel, O(N log^2 N), forms the row sums
+    sum_{k<n} a_k h[n+k] by divide and conquer with FFT correlations; Band,
+    O(N c), reads rows below n0 from eval_row and every later row as a
+    prefix sum plus its band.  With no structure, the generic forward
+    substitution a_n = (R(n) - sum_{k<n} a_k G(n,k)) / G(n,n) runs on
     kernel.eval_row rows, which is O(N^2), float only, and refused above
     GENERIC_CAP.  force_generic always runs that loop, capped too, so it
     stays the reference for every faster path.  The post-solve residual
-    check evaluates the kernel with eval_row, never from h, at n = limit, or
-    on the whole verify_residuals sample after a Hankel or generic solve.
-    The exact backend needs u = delta (the x*floor(1/x) kernel).
+    check evaluates the kernel with eval_row, never from the declaration,
+    at n = limit after a rho = 1 divisor or a separable solve, and on the
+    whole verify_residuals sample after any other.  The exact backend needs
+    a Divisor with u = delta and rho = 1 (the x*floor(1/x) kernel).
 
     Raises:
         SingularKernelError: G(n,n) = 0 for some n (u_1 = 0 on the divisor
             path, sum_i P[i,n] Q[i,n] = 0 on the separable path).
-        BackendMismatchError: exact backend with a kernel whose u is not
-            delta, or an RHS whose values are not rational (delta / integer
-            beta >= 0 are rational; fractional beta is not).
+        BackendMismatchError: exact backend with any other structure, or an
+            RHS whose values are not rational (delta / integer beta >= 0 are
+            rational; fractional beta is not).
         ValueError: an unknown backend, a generic solve above GENERIC_CAP,
             or a float R(n), s(m) or a_n that is not finite (e.g. n^-beta
             overflows).
-        VerificationError: the post-solve a_1 or residual check fails.
+        VerificationError: the declared band differs from eval_row at n0,
+            or the post-solve a_1 or residual check fails.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    u = kernel.dirichlet_weights(limit)
 
     if backend == "exact":
-        if u is None or u[1] != 1 or np.any(u[2:]):
+        st = kernel.structure(limit)
+        if not (isinstance(st, Divisor) and st.rho == 1 and st.u[1] == 1 and not np.any(st.u[2:])):
             raise BackendMismatchError(
                 "exact backend supports only the ingham kernel, got %s" % kernel.spec
             )
@@ -281,55 +295,59 @@ def solve(
                 "exact backend needs rational RHS values (delta or integer beta >= 0), "
                 "got %s" % rhs.label
             )
-        generic = False
-        values = _divisor_solve(rhs.t_exact(np.arange(limit + 1)), u, rhs.label)
+        full_sample = False
+        values = _divisor_solve(rhs.t_exact(np.arange(limit + 1)), st.u, rhs.label)
     elif backend == "float":
-        pq = None if force_generic or u is not None else kernel.separable_factors(limit)
-        generic = force_generic or (u is None and pq is None)
-        h = None if force_generic or not generic else kernel.hankel_values(limit)
-        if generic and h is None and limit > GENERIC_CAP:
+        st = None if force_generic else kernel.structure(limit)
+        if st is None and limit > GENERIC_CAP:
             raise ValueError(
                 "generic O(N^2) solve capped at N=%d (asked %d)" % (GENERIC_CAP, limit)
             )
-        divisor = u is not None and not generic
-        r = np.empty(limit + 1)  # R(n), or T(n) = n R(n) on the divisor path
+        rho = st.rho if isinstance(st, Divisor) else None
+        r = np.empty(limit + 1)  # R(n), or T(n) = n^rho R(n) on the divisor path
         for lo in range(0, limit + 1, SIEVE_BLOCK):
             ns = np.arange(lo, min(lo + SIEVE_BLOCK, limit + 1), dtype=np.int64)
             block = rhs.r_float(ns)
             bad = _first_nonfinite(block)
             if bad is not None:
                 raise ValueError("rhs %s: R(n) is not finite at n=%d" % (rhs.label, lo + bad))
-            if divisor:
+            if rho is not None:
                 with np.errstate(over="ignore"):
-                    block *= ns
+                    block *= ns if rho == 1 else ns**rho
             r[lo : lo + len(ns)] = block
-        if h is not None:
-            values = _hankel_solve(h, r, limit)
-        elif generic:
-            values = _solve_generic_float(kernel, r, limit)
-        elif divisor:
-            values = _divisor_solve(r, u, rhs.label)
+        if isinstance(st, Divisor):
+            values = _divisor_solve(r, st.u, rhs.label, rho)
+        elif isinstance(st, Separable):
+            values = _separable_solve_float(r, st.p, st.q)
+        elif isinstance(st, Hankel):
+            values = _hankel_solve(st.h, r, limit)
+        elif isinstance(st, Band):
+            values = _band_solve(kernel, st, r, limit)
         else:
-            values = _separable_solve_float(r, *pq)
+            values = _solve_generic_float(kernel, r, limit)
         bad = _first_nonfinite(values, 1)
         if bad is not None:
             raise ValueError("rhs %s: a_n is not finite at n=%d" % (rhs.label, bad))
+        full_sample = not (rho == 1 or isinstance(st, Separable))
     else:
         raise ValueError("backend must be 'exact' or 'float', got %r" % (backend,))
 
     coeffs = Coefficients(kernel=kernel, rhs=rhs, limit=limit, backend=backend, values=values)
-    _spot_check(coeffs, generic)
+    _spot_check(coeffs, full_sample)
     return coeffs
 
 
-def _divisor_solve(t: np.ndarray, u: np.ndarray, label: str) -> Union[np.ndarray, list]:
-    """a_0..a_N from T(0..N), T(m) = m R(m), overwriting t: float64 from a
-    float t, Fractions from ints and Fractions.  b_m = m a_m solves
-    (1 * u * b)(m) = s(m) = T(m) - T(m-1).  Raises ValueError, naming the RHS
-    label, when a float s(m) is not finite (m R(m) overflows), and
-    SingularKernelError when u_1 = 0.  Beyond t and u it holds
-    O(SIEVE_BLOCK): s, the finite check and the division by m go a block
-    at a time."""
+def _divisor_solve(
+    t: np.ndarray, u: np.ndarray, label: str, rho: float = 1.0
+) -> Union[np.ndarray, list]:
+    """a_0..a_N from T(0..N), T(m) = m^rho R(m), overwriting t: float64 from a
+    float t, Fractions from ints and Fractions (rho = 1 only).
+    b_m = m^rho a_m solves (w * u * b)(m) = s(m) = T(m) - T(m-1), w = 1 for
+    rho = 1 and the indicator of the p-th powers for rho = 1/p.  Raises
+    ValueError, naming the RHS label, when a float s(m) is not finite
+    (T overflows), and SingularKernelError when u_1 = 0.  Beyond t and u it
+    holds O(SIEVE_BLOCK), and for rho < 1 the int8 w: s, the finite check
+    and the division by m^rho go a block at a time."""
     prev = t[0]  # T(0) = 0, so s(0) = 0
     for lo in range(1, len(t), SIEVE_BLOCK):
         block = t[lo : lo + SIEVE_BLOCK]
@@ -344,7 +362,13 @@ def _divisor_solve(t: np.ndarray, u: np.ndarray, label: str) -> Union[np.ndarray
                 raise ValueError("rhs %s: s(m) is not finite at m=%d" % (label, lo + bad))
     if not u[1]:
         raise SingularKernelError(1)
-    divisor_pass(t, t, -1)  # t becomes c = mu * s = u * b
+    if rho == 1:
+        divisor_pass(t, t, -1)  # t becomes c = mu * s = u * b
+    else:
+        p = round(1 / rho)
+        w = np.zeros(len(t), dtype=np.int8)
+        w[np.arange(2, _iroot(len(t) - 1, p) + 1) ** p] = 1
+        divisor_pass(t, t, -1, w)  # t becomes c = w^-1 * s = u * b
     if u[1] != 1:
         t /= u[1]
     if np.any(u[2:]):
@@ -356,7 +380,8 @@ def _divisor_solve(t: np.ndarray, u: np.ndarray, label: str) -> Union[np.ndarray
         ]
     for lo in range(1, len(t), SIEVE_BLOCK):
         block = t[lo : lo + SIEVE_BLOCK]
-        block /= np.arange(lo, lo + len(block))
+        ms = np.arange(lo, lo + len(block))
+        block /= ms if rho == 1 else ms**rho
     return t
 
 
@@ -398,16 +423,16 @@ def _separable_solve_float(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.nd
     return a
 
 
-def _solve_generic_float(kernel: Kernel, r: np.ndarray, limit: int) -> np.ndarray:
-    """a_0..a_N by forward substitution; row n is G(n, 1..n) from
-    kernel.eval_row."""
-    a = np.zeros(limit + 1, dtype=np.float64)
-    ks = np.arange(1, limit + 1, dtype=np.int64)
+def _solve_generic_float(kernel: Kernel, r: np.ndarray, top: int) -> np.ndarray:
+    """a_0..a_N (N = len(r) - 1) by forward substitution up to row top, the
+    rest left 0; row n is G(n, 1..n) from kernel.eval_row."""
+    a = np.zeros(len(r), dtype=np.float64)
+    ks = np.arange(1, top + 1, dtype=np.int64)
     g11 = kernel.eval(1, 1)
     if g11 == 0.0:
         raise SingularKernelError(1)
     a[1] = r[1] / g11
-    for n in range(2, limit + 1):
+    for n in range(2, top + 1):
         row = kernel.eval_row(n, ks[:n])
         gnn = row[n - 1]
         if gnn == 0.0:
@@ -434,22 +459,50 @@ def _hankel_solve(h: np.ndarray, r: np.ndarray, limit: int) -> np.ndarray:
         SingularKernelError: h[2n] = G(n,n) = 0 at some n.
     """
     a = np.zeros(limit + 1, dtype=np.float64)
-    acc = np.zeros(limit + 1, dtype=np.float64)
+    _hankel_rows(h, r, a, np.zeros(limit + 1, dtype=np.float64), 1, limit + 1)
+    return a
 
-    def rows(lo: int, hi: int) -> None:
-        if hi - lo <= _HANKEL_LEAF:
-            for n in range(lo, hi):
-                gnn = h[2 * n]
-                if gnn == 0.0:
-                    raise SingularKernelError(n)
-                a[n] = (r[n] - (acc[n] + float(np.dot(a[lo:n], h[n + lo : 2 * n])))) / gnn
-            return
-        mid = (lo + hi) // 2
-        rows(lo, mid)
-        acc[mid:hi] += _correlate(a[lo:mid], h[mid + lo : hi + mid - 1])
-        rows(mid, hi)
 
-    rows(1, limit + 1)
+def _hankel_rows(h, r, a, acc, lo: int, hi: int) -> None:
+    """Rows [lo, hi) of _hankel_solve.  A module-level function, so the
+    recursion holds no closure cell that refers to itself: a nested one
+    would keep h, r, a and acc in a reference cycle after the solve."""
+    if hi - lo <= _HANKEL_LEAF:
+        for n in range(lo, hi):
+            gnn = h[2 * n]
+            if gnn == 0.0:
+                raise SingularKernelError(n)
+            a[n] = (r[n] - (acc[n] + float(np.dot(a[lo:n], h[n + lo : 2 * n])))) / gnn
+        return
+    mid = (lo + hi) // 2
+    _hankel_rows(h, r, a, acc, lo, mid)
+    acc[mid:hi] += _correlate(a[lo:mid], h[mid + lo : hi + mid - 1])
+    _hankel_rows(h, r, a, acc, mid, hi)
+
+
+def _band_solve(kernel: Kernel, band: Band, r: np.ndarray, limit: int) -> np.ndarray:
+    """a_0..a_N when every row n >= n0 is [1.0, ..., 1.0, e[c], ..., e[1],
+    e[0]] (c = len(e) - 1): rows below n0 by the generic loop, then
+    a_n = (R(n) - (P(n-c-1) + sum_{d=1..c} e[d] a_{n-d})) / e[0], with P the
+    running prefix sum of a.
+
+    Raises:
+        VerificationError: eval_row's row n0 is not the declared band.
+    """
+    n0, c = band.n0, len(band.e) - 1
+    a = _solve_generic_float(kernel, r, min(limit, n0 - 1))
+    if limit < n0:
+        return a
+    want = np.ones(n0)
+    want[n0 - 1 - c :] = band.e[::-1]
+    if not np.array_equal(kernel.eval_row(n0, np.arange(1, n0 + 1)), want):
+        raise VerificationError("%s: row %d is not its declared band" % (kernel.spec, n0))
+    gnn = band.e[0]
+    weights = np.array(band.e[:0:-1])  # e[c], ..., e[1]: the weights of a_{n-c}..a_{n-1}
+    prefix = float(np.sum(a[1 : n0 - c]))  # P(n0 - c - 1)
+    for n in range(n0, limit + 1):
+        a[n] = (r[n] - (prefix + float(np.dot(weights, a[n - c : n])))) / gnn
+        prefix += a[n - c]
     return a
 
 
@@ -464,10 +517,9 @@ def _correlate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.fft.irfft(prod, size)[len(x) - 1 : len(y)]
 
 
-def _spot_check(coeffs: Coefficients, generic: bool) -> None:
+def _spot_check(coeffs: Coefficients, full_sample: bool) -> None:
     """Post-solve checks: a_1, then verify_residuals at n = limit, or on its
-    default sample after a generic solve, which builds each row on its own,
-    so a wrong row below the last one can occur there.
+    default sample when full_sample is set (see the module docstring).
 
     Raises:
         VerificationError: either check fails (a NaN residual fails too).
@@ -478,7 +530,7 @@ def _spot_check(coeffs: Coefficients, generic: bool) -> None:
             raise VerificationError("a_1 != 1 on exact backend")
     elif g11 == 1.0 and not abs(coeffs.values[1] - 1.0) < 1e-12:
         raise VerificationError("a_1 = %g, expected 1" % coeffs.values[1])
-    worst = verify_residuals(coeffs, None if generic else [coeffs.limit])
+    worst = verify_residuals(coeffs, None if full_sample else [coeffs.limit])
     if not worst <= 1.0:
         raise VerificationError(
             "post-solve residual check: worst |residual|/tolerance %g" % worst

@@ -8,21 +8,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from raflab import kernels
 from raflab.kernels import (
     GENIN_PROFILE_MAX_Q,
     IDENTITY,
     Affine,
+    Band,
     Disc,
+    Divisor,
     FSpec,
     GeneralizedIngham,
+    Hankel,
     Ingham,
     KernelDomainError,
     LogKernel,
     RationalRaf,
     Scaled,
+    Separable,
     UnsupportedKernelError,
     parse_kernel,
 )
+from raflab.sieve import _iroot
 
 
 def test_ingham_hand_values():
@@ -155,20 +161,38 @@ def test_scaled_pow_ingham_is_one_at_square_ratios():
                 assert abs(k.eval(n, n // (m * m)) - 1.0) <= 1e-12, (n, m)
 
 
-def test_dirichlet_weights_reproduce_the_kernel():
-    # n*G(n,k)/k = sum_{j<=n/k} u_j floor(n/(j*k)), u_j = 0 past the array
-    assert Ingham().dirichlet_weights(10).tolist() == [0.0, 1.0]
+def test_divisor_structure_reproduces_the_kernel():
+    # n^rho G(n,k)/k^rho = sum_{j<=n/k} u_j floor((n/(j*k))^rho), u_j = 0
+    # past the array, floor((n/(j*k))^(1/p)) the integer root of n // (j*k)
+    assert Ingham().structure(10).u.tolist() == [0.0, 1.0]
     g = GeneralizedIngham((1.0, -0.5, 2.0))
-    assert g.dirichlet_weights(7).tolist() == [0.0, 1.0, -0.5, 2.0, 1.0, -0.5, 2.0, 1.0]
-    for kern in (Ingham(), g, Disc(2.0), Disc(3.0)):
-        u = kern.dirichlet_weights(60)
+    assert g.structure(7).u.tolist() == [0.0, 1.0, -0.5, 2.0, 1.0, -0.5, 2.0, 1.0]
+    for kern in (Ingham(), g, Disc(2.0), Disc(3.0), Scaled(Ingham(), IDENTITY),
+                 Scaled(Ingham(), FSpec("power", r=1.0)),
+                 Scaled(Ingham(), FSpec("power", r=0.5)),
+                 Scaled(Ingham(), FSpec("power", r=1.0 / 3.0))):
+        st = kern.structure(60)
+        assert isinstance(st, Divisor)
+        u, p = st.u, round(1.0 / st.rho)
         for n in range(1, 61):
             for k in range(1, n + 1):
-                total = sum(u[j] * (n // (j * k)) for j in range(1, min(n // k, len(u) - 1) + 1))
-                assert n * kern.eval(n, k) / k == pytest.approx(total, rel=1e-12, abs=1e-12)
-    for kern in (Affine(0.5), LogKernel(0.5), Disc(2.5), RationalRaf(1.0, 2.0),
-                 Scaled(Ingham(), FSpec("power", r=0.5))):
-        assert kern.dirichlet_weights(10) is None
+                total = sum(u[j] * _iroot(n // (j * k), p)
+                            for j in range(1, min(n // k, len(u) - 1) + 1))
+                assert (n / k) ** st.rho * kern.eval(n, k) == pytest.approx(
+                    total, rel=1e-12, abs=1e-12)
+    assert Scaled(Ingham(), FSpec("power", r=0.25)).structure(10).rho == 0.25
+    # x^r with 1/r not an integer, and rescaled kernels of another base,
+    # declare nothing
+    for kern in (Scaled(Ingham(), FSpec("power", r=0.4)),
+                 Scaled(Ingham(), FSpec("power", r=0.333333)),
+                 Scaled(Disc(2.0), FSpec("power", r=0.5)),
+                 Scaled(GeneralizedIngham((1.0, -1.0)), FSpec("power", r=0.5)),
+                 Scaled(Disc(2.0), FSpec("exp_plus_one", q=2))):
+        assert kern.structure(10) is None
+    for kern in (Affine(0.5), LogKernel(0.5), RationalRaf(1.0, 2.0),
+                 Scaled(Ingham(), FSpec("exp_plus_one", q=2))):
+        assert not isinstance(kern.structure(10), Divisor)
+    assert Disc(2.5).structure(10) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,10 +210,12 @@ def test_eval_row_matches_scalar(n):
         np.testing.assert_allclose(row, scalar, rtol=1e-12, atol=1e-15)
 
 
-def test_separable_factors_reproduce_the_kernel():
+def test_separable_structure_reproduces_the_kernel():
     # G(n,k) = P[0,n] Q[0,k] + P[1,n] Q[1,k] for all k <= n
-    for kern in (Affine(0.3), LogKernel(0.7)):
-        p, q = kern.separable_factors(60)
+    for kern in (Affine(0.3), LogKernel(0.7), Scaled(Affine(0.3), IDENTITY)):
+        st = kern.structure(60)
+        assert isinstance(st, Separable)
+        p, q = st.p, st.q
         assert p.shape == q.shape == (2, 61)
         for n in range(1, 61):
             ks = np.arange(1, n + 1)
@@ -197,14 +223,16 @@ def test_separable_factors_reproduce_the_kernel():
             np.testing.assert_allclose(row, kern.eval_row(n, ks), rtol=1e-13, atol=1e-15)
     for kern in (Ingham(), Disc(2.0), RationalRaf(1.0, 2.0), GeneralizedIngham((1.0,)),
                  Scaled(Ingham(), FSpec("power", r=0.5))):
-        assert kern.separable_factors(10) is None
+        assert not isinstance(kern.structure(10), Separable)
 
 
-def test_hankel_values_reproduce_eval_row_bit_for_bit():
+def test_hankel_structure_reproduces_eval_row_bit_for_bit():
     # G(n,k) = h[n+k], with the same bits as eval_row, for all k <= n
     for x, y in ((1.0, 2.0), (2.0, 1.0), (0.3, 7.5)):
         kern = RationalRaf(x, y)
-        h = kern.hankel_values(60)
+        st = kern.structure(60)
+        assert isinstance(st, Hankel)
+        h = st.h
         assert h.dtype == np.float64 and h.shape == (121,)
         for n in range(1, 61):
             ks = np.arange(1, n + 1)
@@ -212,7 +240,42 @@ def test_hankel_values_reproduce_eval_row_bit_for_bit():
     for kern in (Ingham(), Affine(0.5), LogKernel(0.5), Disc(2.0), Disc(2.5),
                  GeneralizedIngham((1.0, -1.0)), Scaled(Ingham(), FSpec("power", r=0.5)),
                  Scaled(Ingham(), FSpec("exp_plus_one", q=2)), Scaled(Ingham(), IDENTITY)):
-        assert kern.hankel_values(10) is None
+        assert not isinstance(kern.structure(10), Hankel)
+
+
+@pytest.mark.parametrize("q", [2, 3, 10])
+def test_band_structure_is_every_eval_row_from_n0_to_3000(q):
+    # rows n >= n0 are [1.0, ..., 1.0, e[c], ..., e[1], e[0]] bit for bit;
+    # c = ceil(54/log2 q) + 1 and n0 = 2c (110, 72, 36)
+    kern = Scaled(Ingham(), FSpec("exp_plus_one", q=q))
+    st = kern.structure(3000)
+    assert isinstance(st, Band)
+    c = len(st.e) - 1
+    assert c == math.ceil(54 / math.log2(q)) + 1 and st.n0 == 2 * c
+    assert st.e[0] == 1.0 and st.e[1] == (q - 1) / q  # fl(2/3), not 1 - fl(1/3)
+    ks = np.arange(1, 3001)
+    tail = np.array(st.e[::-1])
+    for n in range(st.n0, 3001):
+        row = kern.eval_row(n, ks[:n])
+        assert np.all(row[: n - c - 1] == 1.0) and np.array_equal(row[n - c - 1 :], tail), n
+
+
+def test_power_scaled_rows_floor_by_integer_roots():
+    # n = k j^p, where floor((n/k)^(1/p)) = j: the old float floor
+    # t*floor(1/t + 1e-12) missed 80 of 3000 such points for p = 2
+    rng = np.random.default_rng(20)
+    for p in (2, 3):
+        f = FSpec("power", r=1.0 / p)
+        kern = Scaled(Ingham(), f)
+        for _ in range(3000):
+            j = int(rng.integers(2, int(1e12 ** (1.0 / p))))
+            k = int(rng.integers(1, int(1e12) // j**p + 1))
+            n = k * j**p
+            # each evaluator keeps its own t = (k/n)^(1/p) and floors exactly
+            t = math.exp(f.log_value(k) - f.log_value(n))
+            assert kern.eval(n, k) == t * j, (p, n, k)
+            t = np.exp(f.r * np.log(np.array([k, n], dtype=np.float64)) - f.r * math.log(n))
+            assert np.array_equal(kern.eval_row(n, np.array([k, n])), t * [j, 1]), (p, n, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,6 +381,19 @@ def test_genin_profile_refuses_below_its_cap():
     for t in (0.5 / GENIN_PROFILE_MAX_Q, 1e-300, 1e-320):
         with pytest.raises(KernelDomainError):
             g.profile(t)
+
+
+def test_genin_w_takes_the_direct_sum_below_its_switch():
+    # each W(q) is the bits of one of the two routes: the direct sum (one
+    # np.dot over j <= q) below the switch, the O(sqrt q) blocks from it on
+    g = GeneralizedIngham((0.3, 2.0, -1.0, 0.7))
+    switch = kernels._GENIN_DIRECT_Q
+    qs = list(range(1, 200)) + list(range(switch - 50, switch + 50))
+    u = np.resize(np.array(g.weights), switch + 50)
+    j = np.arange(1, switch + 51)
+    for q, w in zip(qs, g._ws(qs)):
+        assert w == (np.dot(u[:q], q // j[:q]) if q < switch else g._w(q)), q
+        assert w == pytest.approx(g._w(q), rel=1e-12)
 
 
 def test_genin_row_handles_unsorted_and_empty():

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import struct
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raflab.asymptotics import _ols_loglog, default_checkpoints, hlr_report
+from raflab import kernels
 from raflab.kernels import (
-    Affine, Disc, FSpec, GeneralizedIngham, Ingham, LogKernel, RationalRaf, Scaled,
+    IDENTITY, Affine, Band, Disc, FSpec, GeneralizedIngham, Hankel, Ingham, LogKernel,
+    RationalRaf, Scaled, parse_kernel,
 )
 from raflab.sieve import SIEVE_BLOCK, divisor_pass, primes_upto, sieve
 from raflab.solver import (
@@ -151,22 +155,29 @@ def test_backend_mismatch():
         solve(Affine(0.5), RhsSpec("delta"), 100, backend="exact")
     with pytest.raises(BackendMismatchError):
         solve(Ingham(), RhsSpec("power", 0.5), 100, backend="exact")
-    # genin and integer disc take the float divisor path, but their u is not delta
-    for kern in (GeneralizedIngham((1.0, -1.0)), Disc(2.0)):
+    # genin and integer disc take the float divisor path, but their u is not
+    # delta; ingham rescaled by x^(1/2) has u = delta but rho = 1/2
+    for kern in (GeneralizedIngham((1.0, -1.0)), Disc(2.0), parse_kernel("scaled:ingham:pow:0.5")):
         with pytest.raises(BackendMismatchError):
             solve(kern, RhsSpec("delta"), 100, backend="exact")
+    # the identity rescaling is ingham itself
+    ex = solve(Scaled(Ingham(), IDENTITY), RhsSpec("delta"), 100, backend="exact")
+    assert ex.values == solve(Ingham(), RhsSpec("delta"), 100, backend="exact").values
     with pytest.raises(ValueError):
         solve(Ingham(), RhsSpec("delta"), 100, backend="sympy")
 
 
 def test_generic_cap():
-    scaled = Scaled(Ingham(), FSpec("power", r=0.5))
-    with pytest.raises(ValueError, match="capped at N=20000"):
-        solve(scaled, RhsSpec("power", 1.0), 25_000)
-    # divisor (genin, integer disc), separable (affine, log) and Hankel
-    # (ratraf) kernels do not run eval_row rows, so the cap does not apply
+    # kernels with no structure: non-integer disc, x^r with 1/r not an integer
+    for kern in (Disc(2.5), Scaled(Ingham(), FSpec("power", r=0.4))):
+        with pytest.raises(ValueError, match="capped at N=20000"):
+            solve(kern, RhsSpec("power", 1.0), 25_000)
+    # divisor (genin, integer disc, ingham rescaled by x^(1/p)), separable
+    # (affine, log), Hankel (ratraf) and band (ingham rescaled by q^x+1)
+    # kernels run no eval_row rows past the band's n0, so the cap does not apply
     for kern in (GeneralizedIngham((1.0, -1.0)), Disc(2.0), Affine(0.5), LogKernel(0.5),
-                 RationalRaf(1.0, 2.0)):
+                 RationalRaf(1.0, 2.0), Scaled(Ingham(), FSpec("power", r=0.5)),
+                 Scaled(Ingham(), FSpec("exp_plus_one", q=2))):
         c = solve(kern, RhsSpec("power", 1.0), 25_000)
         assert c.limit == 25_000 and c.values[1] == 1.0 / kern.eval(1, 1)
     # force_generic is the dense eval_row reference, capped for every kernel
@@ -197,29 +208,45 @@ def test_hankel_path_matches_eval_rows_row_scaled(limit, rhs, xy):
 def test_hankel_path_refuses_a_zero_diagonal(monkeypatch):
     # G(n,n) = h[2n]: n = 1 and 200 fall in the first leaf, 700 after FFT
     # corrections from the rows below it
-    true = RationalRaf.hankel_values
+    true = RationalRaf.structure
     for n in (1, 200, 700):
         def zeroed(self, limit, n=n):
-            h = true(self, limit)
+            h = true(self, limit).h
             h[2 * n] = 0.0
-            return h
+            return Hankel(h)
 
-        monkeypatch.setattr(RationalRaf, "hankel_values", zeroed)
+        monkeypatch.setattr(RationalRaf, "structure", zeroed)
         with pytest.raises(SingularKernelError) as err:
             solve(RationalRaf(1.0, 2.0), RhsSpec("power", 0.5), 1000)
         assert err.value.n == n
 
 
+def test_hankel_solve_leaves_no_reference_cycle():
+    # the recursion must not keep h, r, a and acc alive in a cycle: with the
+    # cyclic collector off, the result dies on del and nothing is left for it
+    kern, rhs = RationalRaf(1.0, 2.0), RhsSpec("power", 0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        coeffs = solve(kern, rhs, 3000)
+        alive = weakref.ref(coeffs.values)
+        del coeffs
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _nudged_hankel(monkeypatch, index):
-    """RationalRaf.hankel_values with h[index(limit)] moved up by 1e-6."""
-    true = RationalRaf.hankel_values
+    """RationalRaf.structure with h[index(limit)] moved up by 1e-6."""
+    true = RationalRaf.structure
 
     def nudged(self, limit):
-        h = true(self, limit)
+        h = true(self, limit).h
         h[index(limit)] += 1e-6
-        return h
+        return Hankel(h)
 
-    monkeypatch.setattr(RationalRaf, "hankel_values", nudged)
+    monkeypatch.setattr(RationalRaf, "structure", nudged)
 
 
 def test_residual_checks_do_not_read_the_hankel_table(monkeypatch):
@@ -236,6 +263,51 @@ def test_residual_checks_do_not_read_the_hankel_table(monkeypatch):
         _nudged_hankel(monkeypatch, lambda _: m)
         with pytest.raises(VerificationError):
             solve(kern, rhs, limit)
+
+
+# ingham rescaled by the identity, x^(1/p) and q^x+1: the divisor and band paths
+SCALED = [Scaled(Ingham(), f) for f in (
+    IDENTITY, FSpec("power", r=0.5), FSpec("power", r=1.0 / 3.0), FSpec("power", r=0.25),
+    FSpec("exp_plus_one", q=2), FSpec("exp_plus_one", q=3), FSpec("exp_plus_one", q=10),
+)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2000),
+    st.sampled_from([RhsSpec("power", b) for b in (-1.0, 0.0, 0.5, 1.1, 2.0)] + [RhsSpec("delta")]),
+    st.sampled_from(SCALED),
+)
+def test_scaled_paths_match_generic_row_scaled(limit, rhs, kern):
+    # |a_n - ref_n| <= 1e-12 sum_{k<=n} |ref_k|, as for the Hankel path: the
+    # divisor and band paths sum each row in another order
+    fast = solve(kern, rhs, limit).values
+    ref = solve(kern, rhs, limit, force_generic=True).values
+    scale = np.cumsum(np.abs(ref))
+    assert np.all(np.abs(fast - ref)[1:] <= 1e-12 * scale[1:])
+
+
+def test_scaled_identity_keeps_its_base_bits():
+    for base in (Ingham(), GeneralizedIngham((0.3, -1.0)), Disc(3.0), Affine(0.3), LogKernel(0.7)):
+        for rhs in (RhsSpec("power", 0.5), RhsSpec("delta")):
+            got = solve(Scaled(base, IDENTITY), rhs, 3000).values
+            assert got.tobytes() == solve(base, rhs, 3000).values.tobytes()
+
+
+def test_band_path_refuses_a_band_that_is_not_eval_row(monkeypatch):
+    kern, rhs = Scaled(Ingham(), FSpec("exp_plus_one", q=2)), RhsSpec("power", 0.5)
+    true = kernels._exp_band(2)
+    e = list(true.e)
+    e[3] = math.nextafter(e[3], 0.0)
+    # one entry an ulp low, a start below the last row that differs, a band
+    # cut short where its entries are not yet 1.0
+    for wrong in (Band(true.n0, tuple(e)), Band(true.n0 - 10, true.e),
+                  Band(true.n0, true.e[:5])):
+        monkeypatch.setattr(kernels, "_exp_band", lambda q, wrong=wrong: wrong)
+        with pytest.raises(VerificationError, match="declared band"):
+            solve(kern, rhs, 500)
+    # below n0 no band row is used, so none is checked
+    assert solve(kern, rhs, true.n0 - 11).limit == true.n0 - 11
 
 
 def test_singular_kernel():
@@ -600,7 +672,7 @@ def test_r_float_at_a_subset_is_the_full_table(rhs, size):
 def _whole_array_solve(kernel, rhs, n):
     """The divisor-path solve on whole arrays: R and T over 0..N at once,
     s(m) = T(m) - T(m-1) from a copy of T, one division by 1..N."""
-    u = kernel.dirichlet_weights(n)
+    u = kernel.structure(n).u
     ns = np.arange(n + 1)
     if rhs.kind == "delta":
         r = (ns == 1).astype(np.float64)
