@@ -1,11 +1,21 @@
 """raf — command-line front end.
 
-Subcommands: solve, scan, index, hlr, mellin, zeros, count, jordan,
-mertens, verify.  Every subcommand accepts --out <path> (CSV artifact; a
-<out>.manifest.json sidecar records cmd/kernel/rhs/n/backend/tolerances/
-outputs/wall_ms/version) and --json (stdout is then exactly one JSON
-document).  Option precedence: explicit flags > --config JSON file >
-built-in defaults.
+Subcommands and their own options, declared once with their built-in
+defaults in _COMMANDS, which build_parser and _apply_config read:
+    solve --kernel --rhs --n --backend     hlr --kernel --beta --n
+    scan --kernel --betas --n --slope-tol --const-tol
+    index --kernel --grid --n --slope-tol --const-tol
+    mellin --kernel --z --method --n       zeros --q --im
+    count --what --n --oracle --sieve-cache
+    jordan --beta --x --sieve-cache        mertens --x --sieve-cache
+    verify --suite
+--sieve-cache is on count, jordan and mertens only, the handlers that read
+a sieve; elsewhere it is a usage error.  Every subcommand accepts --out
+<path> (CSV artifact; a <out>.manifest.json sidecar records cmd/kernel/
+rhs/n/backend/tolerances/outputs/wall_ms/version), --json (stdout is then
+exactly one JSON document) and --config.  Option precedence: explicit
+flags > --config JSON file > built-in defaults.  A recorded kernel or rhs
+spec parses back to the kernel and RHS that ran.
 
 Each handler returns a Result; main() alone times it, writes the CSV and
 manifest, and prints either the JSON document or the plain text.  wall_ms
@@ -45,7 +55,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -616,14 +626,75 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", default=None, help="write CSV artifact (+ manifest sidecar)")
-    sp.add_argument("--json", action="store_true", help="machine-readable stdout")
-    sp.add_argument("--config", default=None, help="JSON config file (flags override it)")
-    sp.add_argument("--sieve-cache", dest="sieve_cache", default=None,
-                    help="path for the binary sieve cache")
-    # accept values like "-1,0" or "-2:0" after value-taking options
-    sp._negative_number_matcher = re.compile(r"^-\d")
+class _Command(NamedTuple):
+    """A subcommand's handler, help and own options, each a (flag, built-in
+    default, add_argument keywords) triple; build_parser adds _COMMON, and
+    --sieve-cache where the handler calls _get_table."""
+
+    handler: Callable[[argparse.Namespace], Result]
+    help: str
+    options: Tuple[Tuple[str, object, dict], ...]
+    sieve_cache: bool = False
+
+
+_COMMON = (
+    ("--out", None, {"help": "write CSV artifact (+ manifest sidecar)"}),
+    ("--json", None, {"action": "store_true", "help": "machine-readable stdout"}),
+    ("--config", None, {"help": "JSON config file (flags override it)"}),
+)
+_SIEVE_CACHE = ("--sieve-cache", None, {"help": "path for the binary sieve cache"})
+_TOLS = (("--slope-tol", None, {"type": float}), ("--const-tol", None, {"type": float}))
+
+_COMMANDS: Dict[str, _Command] = {
+    "solve": _Command(_cmd_solve, "solve the triangular system a_1..a_N", (
+        ("--kernel", "ingham", {}),
+        ("--rhs", "power:1", {"help": "power:<beta> | delta | l0pow:<beta>"}),
+        ("--n", 10_000, {"type": int}),
+        ("--backend", "float", {"choices": ("float", "exact")}),
+    )),
+    "scan": _Command(_cmd_scan, "regime verdicts over a beta range", (
+        ("--kernel", "ingham", {}),
+        ("--betas", "0:1:0.25", {"help": "<lo>:<hi>:<step>"}),
+        ("--n", 100_000, {"type": int}),
+        *_TOLS,
+    )),
+    "index": _Command(_cmd_index, "bracket the regularity index", (
+        ("--kernel", "ingham", {}),
+        ("--grid", "0.1:0.9:0.1", {"help": "<lo>:<hi>:<step>"}),
+        ("--n", 100_000, {"type": int}),
+        *_TOLS,
+    )),
+    "hlr": _Command(_cmd_hlr, "bounded-coefficient report (sup |n a_n|, prime tail)", (
+        ("--kernel", "ingham", {}),
+        ("--beta", 1.0, {"type": float}),
+        ("--n", 100_000, {"type": int}),
+    )),
+    "mellin": _Command(_cmd_mellin, "evaluate a transform at one point", (
+        ("--kernel", "ingham", {}),
+        ("--z", "-1,0", {"help": '"<re>,<im>"'}),
+        ("--method", "closed", {"choices": ("closed", "limit")}),
+        ("--n", 100_000, {"type": int, "help": "truncation for --method limit"}),
+    )),
+    "zeros": _Command(_cmd_zeros, "critical-line zeros of the q^x+1 scaled transform", (
+        ("--q", 2, {"type": int}),
+        ("--im", "0:10", {"help": "<lo>:<hi>"}),
+    )),
+    "count": _Command(_cmd_count, "exact floor/Mobius counting identities", (
+        ("--what", "coprime:1", {"help": "coprime:<m>|pfree:<p>|ppow:<p>|smooth:<p,..>|elias"}),
+        ("--n", 1000, {"type": int}),
+        ("--oracle", None, {"action": "store_true", "help": "also run the brute-force oracle"}),
+    ), sieve_cache=True),
+    "jordan": _Command(_cmd_jordan, "generalized Jordan partial sums vs main term", (
+        ("--beta", 0.25, {"type": float}),
+        ("--x", 100_000, {"type": int}),
+    ), sieve_cache=True),
+    "mertens": _Command(_cmd_mertens, "max |M(x)|/sqrt(x) report", (
+        ("--x", 100_000, {"type": int}),
+    ), sieve_cache=True),
+    "verify": _Command(_cmd_verify, "bundled verification suites", (
+        ("--suite", "exact", {"choices": claims.SUITES}),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -634,96 +705,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version="raf-lab " + __version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("solve", help="solve the triangular system a_1..a_N")
-    sp.add_argument("--kernel", default=None)
-    sp.add_argument("--rhs", default=None, help="power:<beta> | delta | l0pow:<beta>")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--backend", choices=("float", "exact"), default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("scan", help="regime verdicts over a beta range")
-    sp.add_argument("--kernel", default=None)
-    sp.add_argument("--betas", default=None, help="<lo>:<hi>:<step>")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--slope-tol", dest="slope_tol", type=float, default=None)
-    sp.add_argument("--const-tol", dest="const_tol", type=float, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("index", help="bracket the regularity index")
-    sp.add_argument("--kernel", default=None)
-    sp.add_argument("--grid", default=None, help="<lo>:<hi>:<step>")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--slope-tol", dest="slope_tol", type=float, default=None)
-    sp.add_argument("--const-tol", dest="const_tol", type=float, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("hlr", help="bounded-coefficient report (sup |n a_n|, prime tail)")
-    sp.add_argument("--kernel", default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("mellin", help="evaluate a transform at one point")
-    sp.add_argument("--kernel", default=None)
-    sp.add_argument("--z", default=None, help='"<re>,<im>"')
-    sp.add_argument("--method", choices=("closed", "limit"), default=None)
-    sp.add_argument("--n", type=int, default=None, help="truncation for --method limit")
-    _add_common(sp)
-
-    sp = sub.add_parser("zeros", help="critical-line zeros of the q^x+1 scaled transform")
-    sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--im", default=None, help="<lo>:<hi>")
-    _add_common(sp)
-
-    sp = sub.add_parser("count", help="exact floor/Mobius counting identities")
-    sp.add_argument("--what", default=None,
-                    help="coprime:<m>|pfree:<p>|ppow:<p>|smooth:<p,..>|elias")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--oracle", action="store_true", help="also run the brute-force oracle")
-    _add_common(sp)
-
-    sp = sub.add_parser("jordan", help="generalized Jordan partial sums vs main term")
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--x", type=int, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("mertens", help="max |M(x)|/sqrt(x) report")
-    sp.add_argument("--x", type=int, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("verify", help="bundled verification suites")
-    sp.add_argument("--suite", default=None, choices=claims.SUITES)
-    _add_common(sp)
-
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        extra = (_SIEVE_CACHE,) if cmd.sieve_cache else ()
+        for flag, _, kw in cmd.options + _COMMON + extra:
+            sp.add_argument(flag, **kw)  # default None: "not given on the CLI"
+        # accept values like "-1,0" or "-2:0" after value-taking options
+        sp._negative_number_matcher = re.compile(r"^-\d")
     return ap
-
-
-_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "solve": {"kernel": "ingham", "rhs": "power:1", "n": 10_000, "backend": "float"},
-    "scan": {"kernel": "ingham", "betas": "0:1:0.25", "n": 100_000},
-    "index": {"kernel": "ingham", "grid": "0.1:0.9:0.1", "n": 100_000},
-    "hlr": {"kernel": "ingham", "beta": 1.0, "n": 100_000},
-    "mellin": {"kernel": "ingham", "z": "-1,0", "method": "closed", "n": 100_000},
-    "zeros": {"q": 2, "im": "0:10"},
-    "count": {"what": "coprime:1", "n": 1000},
-    "jordan": {"beta": 0.25, "x": 100_000},
-    "mertens": {"x": 100_000},
-    "verify": {"suite": "exact"},
-}
-
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "scan": _cmd_scan,
-    "index": _cmd_index,
-    "hlr": _cmd_hlr,
-    "mellin": _cmd_mellin,
-    "zeros": _cmd_zeros,
-    "count": _cmd_count,
-    "jordan": _cmd_jordan,
-    "mertens": _cmd_mertens,
-    "verify": _cmd_verify,
-}
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -734,7 +723,9 @@ def _apply_config(args: argparse.Namespace) -> None:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise UsageError("--config must contain a JSON object")
-    for key, val in {**_DEFAULTS.get(args.command, {}), **cfg}.items():
+    defaults = {flag[2:]: default for flag, default, _ in _COMMANDS[args.command].options
+                if default is not None}
+    for key, val in {**defaults, **cfg}.items():
         attr = key.replace("-", "_")
         if getattr(args, attr, None) is None:
             setattr(args, attr, val)
@@ -751,7 +742,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _apply_config(args)
         t0 = time.monotonic()
-        res = _HANDLERS[args.command](args)
+        res = _COMMANDS[args.command].handler(args)
         wall_ms = int(1000 * (time.monotonic() - t0))
         _emit(res, args, "raf " + " ".join(str(a) for a in argv), wall_ms)
         return res.code

@@ -56,7 +56,7 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -159,7 +159,7 @@ class FSpec:
         if self.kind == "identity":
             return "id"
         if self.kind == "power":
-            return "pow:%g" % self.r
+            return "pow:" + _num(self.r)
         return "exp:%d" % self.q
 
 
@@ -274,8 +274,12 @@ class Kernel:
 
     @property
     def spec(self) -> str:
-        """Round-trippable CLI spec string."""
-        return self.name
+        """The CLI spec that parse_kernel reads back to this kernel: the head
+        (self.name, a key of _HEADS), then the fields, comma-separated."""
+        params = [getattr(self, f.name) for f in fields(self)]
+        if _HEADS[self.name][1] is None:  # one field holding the list
+            (params,) = params
+        return self.name + ":" + ",".join(map(_num, params)) if params else self.name
 
 
 @dataclass(frozen=True)
@@ -351,10 +355,6 @@ class Affine(Kernel):
         p = np.stack([np.full(limit + 1, self.lam), (1.0 - self.lam) / np.maximum(n, 1.0)])
         return Separable(p, np.stack([np.ones(limit + 1), n]))
 
-    @property
-    def spec(self) -> str:
-        return "affine:%g" % self.lam
-
 
 @dataclass(frozen=True)
 class LogKernel(Kernel):
@@ -384,10 +384,6 @@ class LogKernel(Kernel):
         ln = np.log(np.maximum(np.arange(limit + 1, dtype=np.float64), 1.0))
         p = np.stack([1.0 + self.lam * ln, np.full(limit + 1, -self.lam)])
         return Separable(p, np.stack([np.ones(limit + 1), ln]))
-
-    @property
-    def spec(self) -> str:
-        return "log:%g" % self.lam
 
 
 # Snap tolerance for floor(-ln t / ln lam): float logs jitter by ~1e-16
@@ -464,10 +460,6 @@ class Disc(Kernel):
         den = cmath.exp(z * lnl) - 1.0
         return TransformResult(z / (z - 1.0) * num / den, "closed")
 
-    @property
-    def spec(self) -> str:
-        return "disc:%g" % self.lam
-
 
 @dataclass(frozen=True)
 class RationalRaf(Kernel):
@@ -500,10 +492,6 @@ class RationalRaf(Kernel):
 
     def transform(self, z: complex) -> TransformResult:
         return TransformResult(1.0 + 0.0j, "closed", note="constant transform")
-
-    @property
-    def spec(self) -> str:
-        return "ratraf:%g,%g" % (self.x, self.y)
 
 
 # GeneralizedIngham.profile takes O(sqrt(floor(1/t))) time and memory (one
@@ -600,10 +588,6 @@ class GeneralizedIngham(Kernel):
             "Dirichlet L-function data; use limit_transform"
         )
 
-    @property
-    def spec(self) -> str:
-        return "genin:" + ",".join("%g" % w for w in self.weights)
-
 
 @dataclass(frozen=True)
 class Scaled(Kernel):
@@ -661,16 +645,23 @@ class Scaled(Kernel):
         if isinstance(self.base, Ingham):
             # G = m f(k)/f(n) = 1 - r/f(n) with 0 <= r < f(k), so where
             # f(k) 2^54 <= f(n) it lies above 1 - 2^-54 and int division rounds
-            # it to exactly 1.0; f increases, so those k are the k <= kmax
-            fn = f.value(n)
+            # it to exactly 1.0; f increases, so those k are the k <= kmax.
+            # f(k) = q^n // q^(n-k) + 1 takes one big power for the row, the
+            # same integers as f.value(k)
+            qn = f.q**n
+            fn = qn + 1
+
+            def fv(k: int) -> int:
+                return qn // f.q ** (n - k) + 1
+
             kmax = max(0, n - math.ceil(54 / math.log2(f.q)))
-            while kmax < n and f.value(kmax + 1) << 54 <= fn:
+            while kmax < n and fv(kmax + 1) << 54 <= fn:
                 kmax += 1
-            while kmax > 0 and f.value(kmax) << 54 > fn:
+            while kmax > 0 and fv(kmax) << 54 > fn:
                 kmax -= 1
             row = np.ones(len(ks))
             tail = np.flatnonzero(ks > kmax)
-            row[tail] = [(fn // fk) * fk / fn for fk in map(f.value, ks[tail].tolist())]
+            row[tail] = [(fn // fk) * fk / fn for fk in map(fv, ks[tail].tolist())]
             return row
         return np.array([self.eval(n, k) for k in ks.tolist()], dtype=np.float64)
 
@@ -813,25 +804,41 @@ _GRAMMAR = (
     '"scaled:ingham:exp:<q>" | "scaled:ingham:pow:<r>" | "scaled:ingham:id"'
 )
 
+# A spec is a head, then ":" and its comma-separated floats (none for
+# ingham), or "scaled:ingham:" and id, exp:<q> or pow:<r>.  Kernel.spec and
+# Scaled.spec write, through _num, what parse_kernel reads back to an equal
+# kernel.  head -> (class, number of floats, None for a list of any length)
+_HEADS = {
+    "ingham": (Ingham, 0),
+    "affine": (Affine, 1),
+    "log": (LogKernel, 1),
+    "disc": (Disc, 1),
+    "ratraf": (RationalRaf, 2),
+    "genin": (GeneralizedIngham, None),
+}
+
+
+def _num(x: float) -> str:
+    """x as a spec or label writes it: %g when that parses back to x, else repr."""
+    text = "%g" % x
+    return text if float(text) == x else repr(float(x))
+
 
 def parse_kernel(spec: str) -> Kernel:
     """Parse a kernel spec string (see _GRAMMAR); raises KernelDomainError."""
     parts = spec.strip().split(":")
     head = parts[0]
     try:
-        if head == "ingham" and len(parts) == 1:
-            return Ingham()
-        if head == "affine" and len(parts) == 2:
-            return Affine(float(parts[1]))
-        if head == "log" and len(parts) == 2:
-            return LogKernel(float(parts[1]))
-        if head == "disc" and len(parts) == 2:
-            return Disc(float(parts[1]))
-        if head == "ratraf" and len(parts) == 2:
-            x, y = parts[1].split(",")
-            return RationalRaf(float(x), float(y))
-        if head == "genin" and len(parts) == 2:
-            return GeneralizedIngham(tuple(float(w) for w in parts[1].split(",")))
+        if head in _HEADS:
+            cls, arity = _HEADS[head]
+            if arity == 0 and len(parts) == 1:
+                return cls()
+            if arity != 0 and len(parts) == 2:
+                params = [float(p) for p in parts[1].split(",")]
+                if arity is None:
+                    return cls(tuple(params))
+                if len(params) == arity:
+                    return cls(*params)
         if head == "scaled" and len(parts) >= 3:
             base = parse_kernel(parts[1])
             tag = parts[2]

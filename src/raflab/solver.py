@@ -84,7 +84,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .kernels import Band, Divisor, Hankel, Kernel, Separable
+from .kernels import Band, Divisor, Hankel, Kernel, Separable, _num
 from .sieve import SIEVE_BLOCK, MobiusTable, _iroot, divisor_pass
 
 # Largest N the generic O(N^2) forward substitution accepts.
@@ -148,9 +148,7 @@ class RhsSpec:
     def label(self) -> str:
         if self.kind == "delta":
             return "delta"
-        if self.kind == "power":
-            return "power:%g" % self.beta
-        return "l0pow:%g" % self.beta
+        return "%s:%s" % (self.kind, _num(self.beta))
 
     def r_float(self, ns: np.ndarray) -> np.ndarray:
         """R(n) as float64 at each n of the int array ns (R(0) = 0), bit for

@@ -741,7 +741,39 @@ def test_unusable_sieve_cache_warns_on_load_and_save(capsys, tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("sub", ["solve", "scan", "index", "hlr", "mellin", "zeros", "verify"])
+def test_sieve_cache_is_refused_where_no_sieve_is_read(capsys, tmp_path, sub):
+    cache, out = tmp_path / "sieve.bin", tmp_path / "out.csv"
+    rc, stdout, err = run(capsys, [sub, "--sieve-cache", str(cache), "--out", str(out)])
+    assert rc == 2 and stdout == ""
+    # argparse's usage lines, then one error line naming the option
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == ["raf: error: unrecognized arguments: --sieve-cache %s" % cache]
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------- config
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["solve"], {"kernel": "ingham", "rhs": "power:1", "n": 10_000, "backend": "float"}),
+    (["hlr"], {"kernel": "ingham", "rhs": "power:1", "n": 100_000, "backend": "float"}),
+    (["mellin"], {"kernel": "ingham", "n": 100_000}),
+    (["count"], {"n": 1000}),
+], ids=["solve", "hlr", "mellin", "count"])
+def test_bare_subcommand_runs_on_its_built_in_defaults(capsys, tmp_path, argv, want):
+    out = tmp_path / "out.csv"
+    rc, stdout, _ = run(capsys, argv + ["--json", "--out", str(out)])
+    assert rc == 0
+    man = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert {key: man[key] for key in want} == want
+    doc = json.loads(stdout)
+    if argv == ["mellin"]:
+        assert doc["z"] == [-1.0, 0.0] and doc["method"] == "closed"
+    if argv == ["count"]:
+        assert doc["what"] == "coprime:1" and doc["oracle"] is None
+
+
 
 
 def test_config_file_fills_defaults_and_flags_win(capsys, tmp_path):

@@ -260,6 +260,18 @@ def test_band_structure_is_every_eval_row_from_n0_to_3000(q):
         assert np.all(row[: n - c - 1] == 1.0) and np.array_equal(row[n - c - 1 :], tail), n
 
 
+@pytest.mark.parametrize("q", [2, 3, 10])
+def test_exp_scaled_rows_equal_scalar_eval(q):
+    # eval_row takes every f(k) from one q^n; eval builds f(k) and f(n) apart
+    kern = Scaled(Ingham(), FSpec("exp_plus_one", q=q))
+    rng = np.random.default_rng(q)
+    for n in (107, 5003, 20011):
+        lo = max(1, n - 80)
+        ks = np.concatenate([np.arange(lo, n + 1), rng.integers(1, lo, 20)])
+        want = np.array([kern.eval(n, k) for k in ks.tolist()])
+        assert np.array_equal(kern.eval_row(n, ks), want), n
+
+
 def test_power_scaled_rows_floor_by_integer_roots():
     # n = k j^p, where floor((n/k)^(1/p)) = j: the old float floor
     # t*floor(1/t + 1e-12) missed 80 of 3000 such points for p = 2
@@ -300,11 +312,41 @@ def test_fgv_eval_equals_profile_of_ratio(n, k):
 
 
 def test_parse_round_trips():
+    # %g prints the first six specs and a float %g would round to another
+    # kernel (disc:2.0000001 is non-integer disc, off the divisor path) the
+    # others; each is written back as given
     for spec in ("ingham", "affine:0.5", "log:0.25", "disc:2",
                  "ratraf:1,2", "genin:1,-1", "scaled:ingham:exp:2",
-                 "scaled:ingham:pow:0.5", "scaled:ingham:id"):
+                 "scaled:ingham:pow:0.5", "scaled:ingham:id",
+                 "disc:2.0000001", "affine:0.1234567", "ratraf:1.0000001,2",
+                 "genin:0.1234567,-1", "scaled:ingham:pow:0.3333333333333333"):
         k = parse_kernel(spec)
-        assert parse_kernel(k.spec).spec == k.spec
+        assert k.spec == spec
+        assert parse_kernel(k.spec) == k
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.just(Ingham()),
+    st.builds(Affine, _unit_open),
+    st.builds(LogKernel, _unit),
+    st.builds(Disc, st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)),
+    st.tuples(_positive, _positive).filter(lambda xy: xy[0] != xy[1]).map(
+        lambda xy: RationalRaf(*xy)),
+    st.builds(GeneralizedIngham, st.lists(_finite, min_size=1, max_size=4).map(tuple)),
+    st.just(Scaled(Ingham(), IDENTITY)),
+    st.builds(lambda q: Scaled(Ingham(), FSpec("exp_plus_one", q=q)),
+              st.integers(min_value=2, max_value=10**6)),
+    st.builds(lambda r: Scaled(Ingham(), FSpec("power", r=r)), _unit),
+))
+def test_spec_parses_back_to_the_same_kernel(kern):
+    assert parse_kernel(kern.spec) == kern
 
 
 def test_parse_rejects_garbage():
@@ -313,6 +355,15 @@ def test_parse_rejects_garbage():
                 "scaled:ingham:exp", "scaled:ingham:sqrt:2"):
         with pytest.raises((KernelDomainError, UnsupportedKernelError)):
             parse_kernel(bad)
+
+
+@pytest.mark.parametrize("bad", ["ingham:", "ingham:1", "ratraf:1", "affine:1,2", "genin:",
+                                 "scaled:ingham:pow", "scaled:affine:0.5:id"])
+def test_malformed_spec_is_a_domain_error(bad):
+    # a head with the wrong number of parameters, or a scaled base that
+    # carries parameters, is a bad spec, not another kernel
+    with pytest.raises(KernelDomainError, match="bad kernel spec"):
+        parse_kernel(bad)
 
 
 def test_fspec_validation():

@@ -49,6 +49,19 @@ def test_parse_rhs():
             parse_rhs(bad)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["power", "l0pow"]), st.floats(allow_nan=False, allow_infinity=False))
+def test_rhs_label_parses_back_to_the_same_rhs(kind, beta):
+    rhs = RhsSpec(kind, beta)
+    assert parse_rhs(rhs.label) == rhs
+
+
+def test_rhs_label_keeps_every_digit_g_would_drop():
+    third = RhsSpec("power", 1 / 3)
+    assert third.label == "power:0.3333333333333333" and parse_rhs(third.label) == third
+    assert RhsSpec("l0pow", 1.0).label == "l0pow:1" and RhsSpec("delta").label == "delta"
+
+
 def test_rhs_delta_forces_infinite_beta():
     r = RhsSpec("delta")
     assert math.isinf(r.beta)
