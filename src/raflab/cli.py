@@ -70,13 +70,14 @@ from .asymptotics import (
     mertens_ratio_report,
     regime_scan,
 )
-from .counting import count_formula, count_oracle, parse_count_what
+from .counting import _GRAMMAR as _COUNT_GRAMMAR, count_formula, count_oracle, parse_count_what
 from .kernels import (
     FSpec,
     Ingham,
     KernelDomainError,
     Scaled,
     UnsupportedKernelError,
+    _num,
     parse_kernel,
 )
 from .mellin import (
@@ -581,7 +582,7 @@ def _cmd_jordan(args: argparse.Namespace) -> Result:
            rep.empirical_constant, rep.predicted_constant),
         header=("x", "jordan_sum"),
         rows=[(int(x), _f(v)) for x, v in zip(rep.checkpoints, rep.values)],
-        meta={"rhs": "jordan:%g" % args.beta, "n": args.x},
+        meta={"rhs": "jordan:" + _num(args.beta), "n": args.x},
     )
 
 
@@ -680,7 +681,7 @@ _COMMANDS: Dict[str, _Command] = {
         ("--im", "0:10", {"help": "<lo>:<hi>"}),
     )),
     "count": _Command(_cmd_count, "exact floor/Mobius counting identities", (
-        ("--what", "coprime:1", {"help": "coprime:<m>|pfree:<p>|ppow:<p>|smooth:<p,..>|elias"}),
+        ("--what", "coprime:1", {"help": _COUNT_GRAMMAR}),
         ("--n", 1000, {"type": int}),
         ("--oracle", None, {"action": "store_true", "help": "also run the brute-force oracle"}),
     ), sieve_cache=True),
@@ -697,8 +698,13 @@ _COMMANDS: Dict[str, _Command] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # argparse's own error line, without its usage block
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="raf",
         description="Triangular-recurrence solver, Mellin transforms, regularity "
         "indices, and exact floor/Mobius counting identities.",

@@ -1,44 +1,63 @@
 """Exact floor/Mobius counting identities and their independent oracles.
 
-Five counting kinds, each with a Mobius-sum formula (count_formula, exact
-integer arithmetic over a sieve table) and a Mobius-free brute-force oracle
-(count_oracle) so the two sides of every identity are computed by genuinely
-different routes:
+Every counting kind counts with one Mobius floor sum,
 
-    coprime_tuples(m)   sum_k mu(k) floor(n/k)^m     — m-tuples with gcd 1
-                        oracle: gcd-count recursion c(n) = n^m - sum c(n//d)
-                        (m=2 additionally cross-checked by 2*sum phi - 1)
-    p_free(p)           sum_k mu(k) floor(n/k^p)     — p-th-power-free count
-                        oracle: boolean sieve striking k^p multiples
-    prime_powers(p)     -sum_k mu(pk) floor(n/k) = 1 + floor(log_p n)
-                        oracle: direct power listing
-    smooth(P)           (-1)^|P| sum_k mu(Pk) floor(n/k)
-                        oracle: factor-out divisibility test
-    elias_gamma         sum_k (-1)^(k-1) mu(k) floor(n/k) = 1 + 2 floor(log2 n)
-                        oracle: bit length
+    sign * sum_{k <= n^(1/e)} chi(k) mu(s k) floor(n / k^e)^m,
 
-Every floor(log) here is integer arithmetic (bit_length, repeated
-multiplication): floating logs are off-by-one-prone exactly at the powers
-where these identities are sharpest.
+declared once as a row of _KINDS; the --what grammar, the label, mu_limit
+(= s * floor(n^(1/e))), count_formula and the scans all read that row:
 
-The *_scan helpers evaluate a whole identity for every n <= N at once in
-O(N log N): sum_k w_k floor(n/k) = sum_{m<=n} sum_{k|m} w_k, so scattering
-w_k onto multiples of k (sieve.divisor_pass) and taking a cumulative sum
-gives all n in one pass.
+    kind            --what         sign      s       e  m  chi(k)      counts
+    coprime_tuples  coprime:<m>    +         1       1  m  1           m-tuples in [1,n]^m, gcd 1
+    p_free          pfree:<p>      +         1       p  1  1           p-th-power-free integers
+    prime_powers    ppow:<p>       -         p       1  1  1           1 + floor(log_p n) powers
+    smooth          smooth:<p,..>  (-1)^|P|  prod P  1  1  1           P-smooth integers
+    elias_gamma     elias          +         1       1  1  (-1)^(k-1)  1 + 2 floor(log2 n)
+
+count_formula sums exactly over a sieve table (int64 while m * bitlength(n)
+<= 62, Python ints beyond).  count_oracle counts each kind by a Mobius-free
+route: the gcd recursion c(n) = n^m - sum c(n//d) (m = 2 also as
+2 sum phi - 1), a sieve striking k^p multiples, power listing, a factor-out
+test and the bit length.  Every floor(log) is integer arithmetic: floating
+logs are off by one exactly at the powers where these identities are sharpest.
+
+The *_scan helpers give a kind with e = m = 1 at every n <= N in one
+O(N log N) pass: sum_k w_k floor(n/k) = sum_{j<=n} sum_{k|j} w_k, so
+scattering w_k onto the multiples of k (sieve.divisor_pass) and taking a
+cumulative sum gives all n at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .sieve import MobiusTable, _iroot, divisor_pass, totient_table
 from .solver import VerificationError, l0_three_smooth
 
-_COUNT_KINDS = ("coprime_tuples", "p_free", "prime_powers", "smooth", "elias_gamma")
+
+class _Kind(NamedTuple):
+    """One row of the module docstring's table."""
+
+    term: str  # the --what grammar term, "<head>:<argument>" or a bare head
+    field: Optional[str]  # the CountSpec field the argument sets
+    shape: Callable[["CountSpec"], Tuple[int, int, int, int]]  # spec -> (sign, s, e, m)
+    alternating: bool = False  # chi(k) = (-1)^(k-1) rather than 1
+
+
+_KINDS = {
+    "coprime_tuples": _Kind("coprime:<m>", "m", lambda c: (1, 1, 1, c.m)),
+    "p_free": _Kind("pfree:<p>", "p", lambda c: (1, 1, c.p, 1)),
+    "prime_powers": _Kind("ppow:<p>", "p", lambda c: (-1, c.p, 1, 1)),
+    "smooth": _Kind("smooth:<p,..>", "primes",
+                    lambda c: ((-1) ** len(c.primes), math.prod(c.primes), 1, 1)),
+    "elias_gamma": _Kind("elias", None, lambda c: (1, 1, 1, 1), alternating=True),
+}
+_HEADS = {row.term.partition(":")[0]: kind for kind, row in _KINDS.items()}
+_GRAMMAR = "|".join(row.term for row in _KINDS.values())
 
 
 class CostLimitError(ValueError):
@@ -71,7 +90,7 @@ class CountSpec:
     primes: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _COUNT_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError("unknown counting kind %r" % (self.kind,))
         if self.n < 1:
             raise ValueError("n must be >= 1")
@@ -94,52 +113,33 @@ class CountSpec:
 
     @property
     def label(self) -> str:
-        if self.kind == "coprime_tuples":
-            return "coprime:%d" % self.m
-        if self.kind == "p_free":
-            return "pfree:%d" % self.p
-        if self.kind == "prime_powers":
-            return "ppow:%d" % self.p
-        if self.kind == "smooth":
-            return "smooth:" + ",".join(str(q) for q in self.primes)
-        return "elias"
+        row = _KINDS[self.kind]
+        head = row.term.partition(":")[0]
+        if row.field is None:
+            return head
+        arg = getattr(self, row.field)
+        return "%s:%s" % (head, ",".join(map(str, arg)) if isinstance(arg, tuple) else "%d" % arg)
 
     @property
     def mu_limit(self) -> int:
-        """The mu range count_formula needs: floor(n^(1/p)) for p_free, p*n
-        for prime_powers, P*n for smooth (P the product of the primes), n
-        for every other kind."""
-        if self.kind == "p_free":
-            return _iroot(self.n, self.p)
-        if self.kind == "prime_powers":
-            return self.p * self.n
-        if self.kind == "smooth":
-            return math.prod(self.primes) * self.n
-        return self.n
+        """The mu range count_formula needs: s * floor(n^(1/e))."""
+        _, s, e, _ = _KINDS[self.kind].shape(self)
+        return s * _iroot(self.n, e)
 
 
 def parse_count_what(what: str, n: int) -> CountSpec:
-    """Parse the CLI grammar coprime:<m>|pfree:<p>|ppow:<p>|smooth:<p1,p2,..>|elias."""
-    w = what.strip()
+    """Parse the --what grammar _GRAMMAR into a CountSpec at n."""
+    head, colon, arg = what.strip().partition(":")
+    kind = _HEADS.get(head)
+    if kind is None or (colon and _KINDS[kind].field is None):
+        raise ValueError("bad count spec %r — use %s" % (what, _GRAMMAR))
+    field = _KINDS[kind].field
     try:
-        if w == "elias":
-            return CountSpec("elias_gamma", n)
-        head, _, arg = w.partition(":")
-        if head == "coprime":
-            return CountSpec("coprime_tuples", n, m=int(arg))
-        if head == "pfree":
-            return CountSpec("p_free", n, p=int(arg))
-        if head == "ppow":
-            return CountSpec("prime_powers", n, p=int(arg))
-        if head == "smooth":
-            return CountSpec("smooth", n, primes=tuple(int(q) for q in arg.split(",")))
+        params = {} if field is None else {
+            field: tuple(map(int, arg.split(","))) if field == "primes" else int(arg)}
+        return CountSpec(kind, n, **params)
     except ValueError as exc:
-        if isinstance(exc, CostLimitError):
-            raise
         raise ValueError("bad count spec %r: %s" % (what, exc)) from exc
-    raise ValueError(
-        "bad count spec %r — use coprime:<m>|pfree:<p>|ppow:<p>|smooth:<p,..>|elias" % (what,)
-    )
 
 
 # --------------------------------------------------------------------------
@@ -147,8 +147,23 @@ def parse_count_what(what: str, n: int) -> CountSpec:
 # --------------------------------------------------------------------------
 
 
+def _weights(spec: CountSpec, table: MobiusTable) -> np.ndarray:
+    """w[k] = sign * chi(k) * mu(s k) for 1 <= k <= floor(n^(1/e)), w[0] = 0:
+    the weights of spec's floor sum, read from a table reaching mu_limit."""
+    row = _KINDS[spec.kind]
+    sign, s, e, _ = row.shape(spec)
+    top = _iroot(spec.n, e)
+    w = np.zeros(top + 1, dtype=np.int64)
+    w[1:] = table.mu[s : s * top + 1 : s]
+    if row.alternating:
+        w[2::2] *= -1
+    if sign < 0:
+        np.negative(w, out=w)
+    return w
+
+
 def count_formula(spec: CountSpec, table: MobiusTable) -> int:
-    """Evaluate the Mobius-sum formula exactly in integer arithmetic.
+    """Evaluate the Mobius floor sum exactly in integer arithmetic.
 
     Raises:
         ValueError: the table ends below spec.mu_limit.
@@ -159,30 +174,14 @@ def count_formula(spec: CountSpec, table: MobiusTable) -> int:
             % (spec.label, spec.n, spec.mu_limit, table.limit)
         )
     n = spec.n
-    mu = table.mu
-    if spec.kind == "coprime_tuples":
-        ks = np.arange(1, n + 1, dtype=np.int64)
-        floors = n // ks
-        if spec.m * n.bit_length() <= 62:
-            return int(np.sum(mu[1 : n + 1].astype(np.int64) * floors**spec.m))
-        # n^m overflows int64: fall back to Python big ints
-        return sum(int(mu[k]) * int(n // k) ** spec.m for k in range(1, n + 1) if mu[k])
-    if spec.kind == "p_free":
-        kmax = _iroot(n, spec.p)
-        ks = np.arange(1, kmax + 1, dtype=np.int64)
-        return int(np.sum(mu[1 : kmax + 1].astype(np.int64) * (n // ks**spec.p)))
-    if spec.kind == "prime_powers":
-        ks = np.arange(1, n + 1, dtype=np.int64)
-        return -int(np.sum(mu[spec.p * ks].astype(np.int64) * (n // ks)))
-    if spec.kind == "smooth":
-        prod = math.prod(spec.primes)
-        ks = np.arange(1, n + 1, dtype=np.int64)
-        s = int(np.sum(mu[prod * ks].astype(np.int64) * (n // ks)))
-        return s if len(spec.primes) % 2 == 0 else -s
-    # elias_gamma
-    ks = np.arange(1, n + 1, dtype=np.int64)
-    signs = np.where(ks % 2 == 1, 1, -1)
-    return int(np.sum(signs * mu[1 : n + 1].astype(np.int64) * (n // ks)))
+    _, _, e, m = _KINDS[spec.kind].shape(spec)
+    w = _weights(spec, table)[1:]
+    if m * n.bit_length() <= 62:
+        ks = np.arange(1, len(w) + 1, dtype=np.int64)
+        floors = n // (ks**e if e > 1 else ks)  # x**1 would cost a copy
+        return int(np.sum(w * (floors**m if m > 1 else floors)))
+    # floor(n/k^e)^m overflows int64: fall back to Python big ints
+    return sum(wk * (n // k**e) ** m for k, wk in enumerate(w.tolist(), 1) if wk)
 
 
 # --------------------------------------------------------------------------
@@ -270,8 +269,13 @@ def count_oracle(spec: CountSpec) -> int:
 # --------------------------------------------------------------------------
 
 
-def _floor_scan(weights: np.ndarray) -> np.ndarray:
-    """T[n] = sum_{k<=n} w_k floor(n/k) for all n in one divisor-sieve pass."""
+def _floor_scan(spec: CountSpec, table: MobiusTable, short: str) -> np.ndarray:
+    """T[n] = sum_{k<=n} w_k floor(n/k) for every n <= spec.n in one
+    divisor-sieve pass, w_k the weights of spec's kind (e = m = 1); raises
+    ValueError(short) when the table ends below spec.mu_limit."""
+    if spec.mu_limit > table.limit:
+        raise ValueError(short)
+    weights = _weights(spec, table)
     acc = weights.copy()
     divisor_pass(acc, weights, 1)
     return np.cumsum(acc)
@@ -279,26 +283,18 @@ def _floor_scan(weights: np.ndarray) -> np.ndarray:
 
 def meissel_scan(table: MobiusTable, limit: int) -> np.ndarray:
     """sum_{k<=n} mu(k) floor(n/k) for every n <= limit (identically 1)."""
-    if limit > table.limit:
-        raise ValueError("limit exceeds table limit")
-    return _floor_scan(table.mu[: limit + 1].astype(np.int64))
+    return _floor_scan(CountSpec("coprime_tuples", limit), table, "limit exceeds table limit")
 
 
 def elias_scan(table: MobiusTable, limit: int) -> np.ndarray:
     """sum_{k<=n} (-1)^(k-1) mu(k) floor(n/k) for every n <= limit."""
-    if limit > table.limit:
-        raise ValueError("limit exceeds table limit")
-    w = table.mu[: limit + 1].astype(np.int64)
-    w[2::2] *= -1
-    return _floor_scan(w)
+    return _floor_scan(CountSpec("elias_gamma", limit), table, "limit exceeds table limit")
 
 
 def smooth_bridge_scan(table: MobiusTable, limit: int) -> np.ndarray:
     """sum_{k<=n} mu(6k) floor(n/k) for every n <= limit (= 3-smooth count)."""
-    if 6 * limit > table.limit:
-        raise ValueError("needs mu up to 6*limit = %d" % (6 * limit))
-    w = table.mu[6 : 6 * limit + 1 : 6].astype(np.int64)
-    return _floor_scan(np.concatenate(([0], w)))
+    return _floor_scan(CountSpec("smooth", limit, primes=(2, 3)), table,
+                       "needs mu up to 6*limit = %d" % (6 * limit))
 
 
 def log2_floor_table(limit: int) -> np.ndarray:

@@ -72,6 +72,16 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "x"], ["solve", "--sieve-cache", "x"], [], ["frobnicate"],
+], ids=["bad-int", "unknown-option", "bare", "unknown-subcommand"])
+def test_usage_error_is_one_stderr_line(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("raf") and ": error: " in err
+
+
 def test_bad_kernel_spec_is_usage_error(capsys):
     rc, _, err = run(capsys, ["mellin", "--kernel", "bogus"])
     assert rc == 2
@@ -519,6 +529,14 @@ def test_count_pfree_sieves_only_to_the_root(capsys, monkeypatch):
 
 
 # ----------------------------------------------------- jordan / mertens / hlr
+
+
+def test_jordan_manifest_records_the_beta_that_ran(capsys, tmp_path):
+    out = tmp_path / "j.csv"
+    rc, _, _ = run(capsys, ["jordan", "--beta", "0.1234567", "--x", "2000", "--out", str(out)])
+    assert rc == 0
+    man = json.loads((tmp_path / "j.csv.manifest.json").read_text())
+    assert man["rhs"] == "jordan:0.1234567"
 
 
 def test_jordan_prints_slope_and_constant(capsys):

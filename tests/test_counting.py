@@ -57,6 +57,35 @@ def test_spec_labels():
     assert CountSpec("smooth", 5, primes=(2, 3)).label == "smooth:2,3"
 
 
+_PRIMES = (2, 3, 5, 7, 11, 13, 97, 7919)
+_N = st.integers(min_value=1, max_value=10**12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.builds(lambda n, m: CountSpec("coprime_tuples", n, m=m), _N, st.integers(1, 64)),
+    st.builds(lambda n, p: CountSpec("p_free", n, p=p), _N, st.integers(2, 64)),
+    st.builds(lambda n, p: CountSpec("prime_powers", n, p=p), _N, st.sampled_from(_PRIMES)),
+    st.builds(lambda n, ps: CountSpec("smooth", n, primes=tuple(ps)), _N,
+              st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=4, unique=True)),
+    st.builds(lambda n: CountSpec("elias_gamma", n), _N),
+))
+def test_label_parses_back_to_the_same_spec(spec):
+    assert parse_count_what(spec.label, spec.n) == spec
+
+
+def test_mu_limit_of_every_kind():
+    # s * floor(n^(1/e)): s is the product of the primes for ppow and smooth
+    assert CountSpec("coprime_tuples", 1000, m=3).mu_limit == 1000
+    assert CountSpec("coprime_tuples", 7, m=1).mu_limit == 7
+    assert CountSpec("prime_powers", 100, p=3).mu_limit == 300
+    assert CountSpec("prime_powers", 1, p=7).mu_limit == 7
+    assert CountSpec("smooth", 30, primes=(2, 3, 5)).mu_limit == 900
+    assert CountSpec("smooth", 1000, primes=(7,)).mu_limit == 7000
+    assert CountSpec("elias_gamma", 9).mu_limit == 9
+    assert CountSpec("elias_gamma", 10**6).mu_limit == 10**6
+
+
 # ---------------------------------------------------------------- identities
 
 
@@ -171,6 +200,14 @@ def test_smooth_bridge_equals_l0(table_100k):
     bridge = smooth_bridge_scan(table_100k, n)
     l0 = l0_three_smooth(n)
     np.testing.assert_array_equal(bridge[1:], l0[1:])
+
+
+def test_scans_equal_count_formula_at_every_n(table_100k):
+    for scan, what in ((meissel_scan, "coprime:1"), (elias_scan, "elias"),
+                       (smooth_bridge_scan, "smooth:2,3")):
+        values = scan(table_100k, 2000)
+        assert values[1:].tolist() == [
+            count_formula(parse_count_what(what, n), table_100k) for n in range(1, 2001)], what
 
 
 def test_scan_range_errors(table_small):
