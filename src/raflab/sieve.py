@@ -216,9 +216,23 @@ def _check_mu_bytes(mu: np.ndarray, path: str) -> None:
 
 
 def _iroot(n: int, p: int) -> int:
-    """floor(n^(1/p)) by float seed + integer correction (exact)."""
+    """floor(n^(1/p)), exact for every n and p >= 1.
+
+    Below 2^52 a float seed lands within a step or two of the root; above,
+    a float is off by ~n^(1/p) / 2^53 (or overflows), so integer Newton
+    descends from 2^ceil(bits/p), an upper bound, to the floor.
+    """
     if n < 1:
         return 0
+    if p == 1:
+        return n
+    if n.bit_length() > 52:
+        r = 1 << -(-n.bit_length() // p)
+        while True:
+            y = ((p - 1) * r + n // r ** (p - 1)) // p
+            if y >= r:
+                return r
+            r = y
     r = int(round(n ** (1.0 / p)))
     while r > 0 and r**p > n:
         r -= 1

@@ -511,6 +511,14 @@ def test_count_bad_what_is_usage_error(capsys):
     assert run(capsys, ["count", "--what", "banana"])[0] == 2
 
 
+@pytest.mark.parametrize("what", ["coprime:1", "pfree:2", "pfree:3", "ppow:2", "smooth:2,3", "elias"])
+@pytest.mark.parametrize("n", [10**30, 10**400])
+def test_count_beyond_the_sieve_is_one_capacity_error_line(capsys, what, n):
+    rc, out, err = run(capsys, ["count", "--what", what, "--n", str(n)])
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "exceeds memory budget" in err
+
+
 def test_count_pfree_sieves_only_to_the_root(capsys, monkeypatch):
     limits = []
 
@@ -764,7 +772,7 @@ def test_sieve_cache_is_refused_where_no_sieve_is_read(capsys, tmp_path, sub):
     cache, out = tmp_path / "sieve.bin", tmp_path / "out.csv"
     rc, stdout, err = run(capsys, [sub, "--sieve-cache", str(cache), "--out", str(out)])
     assert rc == 2 and stdout == ""
-    # argparse's usage lines, then one error line naming the option
+    # one error line naming the option
     errors = [line for line in err.splitlines() if "error:" in line]
     assert errors == ["raf: error: unrecognized arguments: --sieve-cache %s" % cache]
     assert os.listdir(tmp_path) == []

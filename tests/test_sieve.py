@@ -14,6 +14,7 @@ from raflab.sieve import (
     CapacityError,
     MAX_SIEVE_LIMIT,
     SIEVE_BLOCK,
+    _iroot,
     divisor_pass,
     largest_primes,
     load_cache,
@@ -157,6 +158,15 @@ def test_capacity_guard():
         sieve(0)
     with pytest.raises(CapacityError):
         sieve(MAX_SIEVE_LIMIT + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**400), st.integers(min_value=1, max_value=40))
+def test_iroot_is_the_exact_floor_root(n, p):
+    # beyond 2^53 a float seed is off by far more than a step, or overflows
+    r = _iroot(n, p)
+    assert r**p <= n < (r + 1) ** p
+    assert _iroot(n, 1) == n and _iroot(n, 2) == math.isqrt(n)
 
 
 @settings(max_examples=200, deadline=None)
