@@ -8,7 +8,7 @@ floor/Mobius counting identities.
 
 __version__ = "0.1.0"
 
-from .sieve import MobiusTable, sieve, totient_table
+from .sieve import MobiusTable, totient_table  # raflab.sieve stays the module
 from .kernels import (
     Ingham,
     Affine,

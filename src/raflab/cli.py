@@ -1,7 +1,7 @@
 """raf — command-line front end.
 
 Subcommands and their own options, declared once with their built-in
-defaults in _COMMANDS, which build_parser and _apply_config read:
+defaults in _COMMANDS, which build_parser alone reads:
     solve --kernel --rhs --n --backend     hlr --kernel --beta --n
     scan --kernel --betas --n --slope-tol --const-tol
     index --kernel --grid --n --slope-tol --const-tol
@@ -13,9 +13,13 @@ defaults in _COMMANDS, which build_parser and _apply_config read:
 a sieve; elsewhere it is a usage error.  Every subcommand accepts --out
 <path> (CSV artifact; a <out>.manifest.json sidecar records cmd/kernel/
 rhs/n/backend/tolerances/outputs/wall_ms/version), --json (stdout is then
-exactly one JSON document) and --config.  Option precedence: explicit
-flags > --config JSON file > built-in defaults.  A recorded kernel or rhs
-spec parses back to the kernel and RHS that ran.
+exactly one JSON document) and --config, a file holding one JSON object
+read as the flags it stands for: key k with value v is --k=v ("_" read as
+"-"), true the bare flag, false or null nothing.  Those flags go right
+after the subcommand name, so its parser checks them as it checks the
+rest, and the flags given later win: explicit flags > --config file >
+built-in defaults.  A recorded kernel or rhs spec parses back to the
+kernel and RHS that ran.
 
 Each handler returns a Result; main() alone times it, writes the CSV and
 manifest, and prints either the JSON document or the plain text.  wall_ms
@@ -90,6 +94,7 @@ from .mellin import (
 from .sieve import MobiusTable, load_cache, save_cache, sieve
 from .solver import (
     BackendMismatchError,
+    _GRAMMAR as _RHS_GRAMMAR,
     RhsSpec,
     SingularKernelError,
     VerificationError,
@@ -179,10 +184,10 @@ def _get_table(limit: int, cache: Optional[str]) -> MobiusTable:
 
 def _tol_from(args: argparse.Namespace) -> Tolerances:
     kw = {}
-    if getattr(args, "slope_tol", None) is not None:
+    if args.slope_tol is not None:
         kw["slope_tol_low"] = args.slope_tol
         kw["slope_tol_high"] = max(args.slope_tol, 2 * args.slope_tol)
-    if getattr(args, "const_tol", None) is not None:
+    if args.const_tol is not None:
         kw["const_tol"] = args.const_tol
     return Tolerances(**kw)
 
@@ -640,7 +645,7 @@ class _Command(NamedTuple):
 
 _COMMON = (
     ("--out", None, {"help": "write CSV artifact (+ manifest sidecar)"}),
-    ("--json", None, {"action": "store_true", "help": "machine-readable stdout"}),
+    ("--json", False, {"action": "store_true", "help": "machine-readable stdout"}),
     ("--config", None, {"help": "JSON config file (flags override it)"}),
 )
 _SIEVE_CACHE = ("--sieve-cache", None, {"help": "path for the binary sieve cache"})
@@ -649,7 +654,7 @@ _TOLS = (("--slope-tol", None, {"type": float}), ("--const-tol", None, {"type": 
 _COMMANDS: Dict[str, _Command] = {
     "solve": _Command(_cmd_solve, "solve the triangular system a_1..a_N", (
         ("--kernel", "ingham", {}),
-        ("--rhs", "power:1", {"help": "power:<beta> | delta | l0pow:<beta>"}),
+        ("--rhs", "power:1", {"help": _RHS_GRAMMAR}),
         ("--n", 10_000, {"type": int}),
         ("--backend", "float", {"choices": ("float", "exact")}),
     )),
@@ -683,7 +688,7 @@ _COMMANDS: Dict[str, _Command] = {
     "count": _Command(_cmd_count, "exact floor/Mobius counting identities", (
         ("--what", "coprime:1", {"help": _COUNT_GRAMMAR}),
         ("--n", 1000, {"type": int}),
-        ("--oracle", None, {"action": "store_true", "help": "also run the brute-force oracle"}),
+        ("--oracle", False, {"action": "store_true", "help": "also run the brute-force oracle"}),
     ), sieve_cache=True),
     "jordan": _Command(_cmd_jordan, "generalized Jordan partial sums vs main term", (
         ("--beta", 0.25, {"type": float}),
@@ -714,44 +719,38 @@ def build_parser() -> argparse.ArgumentParser:
     for name, cmd in _COMMANDS.items():
         sp = sub.add_parser(name, help=cmd.help)
         extra = (_SIEVE_CACHE,) if cmd.sieve_cache else ()
-        for flag, _, kw in cmd.options + _COMMON + extra:
-            sp.add_argument(flag, **kw)  # default None: "not given on the CLI"
+        for flag, default, kw in cmd.options + _COMMON + extra:
+            sp.add_argument(flag, default=default, **kw)
         # accept values like "-1,0" or "-2:0" after value-taking options
         sp._negative_number_matcher = re.compile(r"^-\d")
     return ap
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """flags > config file > defaults (None marks 'not given on the CLI')."""
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise UsageError("--config must contain a JSON object")
-    defaults = {flag[2:]: default for flag, default, _ in _COMMANDS[args.command].options
-                if default is not None}
-    for key, val in {**defaults, **cfg}.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, val)
+def _config_flags(path: str) -> List[str]:
+    """The flags the JSON object in a --config file stands for."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise UsageError("--config must contain a JSON object")
+    return ["--" + key.replace("_", "-") + ("" if val is True else "=%s" % (val,))
+            for key, val in cfg.items() if val is not False and val is not None]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        args = ap.parse_args(list(argv))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        _apply_config(args)
+        args = ap.parse_args(argv)
+        if args.config:  # its flags go before the given ones, which then win
+            at = argv.index(args.command) + 1
+            args = ap.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
         t0 = time.monotonic()
         res = _COMMANDS[args.command].handler(args)
         wall_ms = int(1000 * (time.monotonic() - t0))
         _emit(res, args, "raf " + " ".join(str(a) for a in argv), wall_ms)
         return res.code
+    except SystemExit as exc:  # argparse has printed its one line, or the help
+        return 2 if exc.code not in (0, None) else 0
     except BracketFailureError as exc:
         print("index bracket failure: %s" % exc, file=sys.stderr)
         return 1

@@ -5,9 +5,9 @@ G(n,k) = g(k/n); the rational kernel (n+k+x)/(n+k+y) is the one non-FGV
 member of the catalog.  Scaled kernels compose an FGV profile with a
 rescaling f, G(n,k) = g(f(k)/f(n)).
 
-Evaluators: an FGV kernel states its formula once, in profile and
-profile_vec; eval(n, k) is profile(k/n) and eval_row(n, ks) is
-profile_vec(ks/n).  ingham and genin override eval/eval_row to floor n/k by
+Evaluators: an FGV kernel states its formula once, in profile_vec;
+profile(t) is its value at the one point t, eval(n, k) is profile(k/n)
+and eval_row(n, ks) is profile_vec(ks/n).  ingham and genin override eval/eval_row to floor n/k by
 integer division (below), ratraf defines its own, and a scaled kernel
 evaluates g at f(k)/f(n).
 
@@ -233,12 +233,12 @@ class Kernel:
         return self.profile_vec(np.asarray(ks, dtype=np.float64) / n)
 
     def profile(self, t: float) -> float:
-        """g(t) for FGV kernels, 0 < t <= 1."""
-        raise UnsupportedKernelError("%s has no one-variable profile" % self.name)
+        """g(t) for FGV kernels, 0 < t <= 1: profile_vec at the one point t."""
+        return float(self.profile_vec(np.array([t], dtype=np.float64))[0])
 
     def profile_vec(self, t: np.ndarray) -> np.ndarray:
-        """g(t) over a float array (scalar profile calls unless overridden)."""
-        return np.array([self.profile(float(x)) for x in t])
+        """g(t) over a float array of t in (0, 1], for FGV kernels."""
+        raise UnsupportedKernelError("%s has no one-variable profile" % self.name)
 
     def structure(self, limit: int) -> Optional[Structure]:
         """The structure G has on 1 <= k <= n <= limit (Divisor, Separable,
@@ -309,16 +309,10 @@ class Ingham(Kernel):
             return TransformResult(1.0 + 0.0j, "closed", note="removable singularity at z=0 patched")
         return TransformResult(z / (z - 1.0) * zeta(1.0 - z), "closed")
 
-    def profile(self, t: float) -> float:
-        if t == 1.0:
-            return 1.0
-        if t < 1e-300:  # floor(1/t) overflows float; value is within t of 1
-            return 1.0
-        # the same snap as GeneralizedIngham.profile: t = 1/m computed one
-        # ulp high must still floor 1/t to m
-        return t * math.floor(1.0 / t + 1e-12)
-
     def profile_vec(self, t: np.ndarray) -> np.ndarray:
+        # below 1e-300 floor(1/t) overflows float and g is within t of 1;
+        # the snap, as in GeneralizedIngham: t = 1/m computed one ulp high
+        # must still floor 1/t to m
         out = np.ones_like(t)
         pos = t > 1e-300
         tp = t[pos]
@@ -337,9 +331,6 @@ class Affine(Kernel):
     def __post_init__(self) -> None:
         if not (0.0 < self.lam < 1.0):
             raise KernelDomainError("affine needs 0 < lam < 1, got %r" % (self.lam,))
-
-    def profile(self, t: float) -> float:
-        return (1.0 - self.lam) * t + self.lam
 
     def profile_vec(self, t: np.ndarray) -> np.ndarray:
         return (1.0 - self.lam) * t + self.lam
@@ -367,9 +358,6 @@ class LogKernel(Kernel):
     def __post_init__(self) -> None:
         if not (0.0 < self.lam <= 1.0):
             raise KernelDomainError("log kernel needs 0 < lam <= 1, got %r" % (self.lam,))
-
-    def profile(self, t: float) -> float:
-        return 1.0 - self.lam * math.log(t)
 
     def profile_vec(self, t: np.ndarray) -> np.ndarray:
         return 1.0 - self.lam * np.log(t)
@@ -412,12 +400,6 @@ class Disc(Kernel):
     @property
     def unproven_index(self) -> bool:  # type: ignore[override]
         return float(self.lam) != float(int(self.lam))
-
-    def _steps(self, t: float) -> int:
-        return int(math.floor(-math.log(t) / math.log(self.lam) + _DISC_SNAP))
-
-    def profile(self, t: float) -> float:
-        return t * self.lam ** self._steps(t)
 
     def profile_vec(self, t: np.ndarray) -> np.ndarray:
         j = np.floor(-np.log(t) / math.log(self.lam) + _DISC_SNAP)
@@ -494,8 +476,8 @@ class RationalRaf(Kernel):
         return TransformResult(1.0 + 0.0j, "closed", note="constant transform")
 
 
-# GeneralizedIngham.profile takes O(sqrt(floor(1/t))) time and memory (one
-# call at this cap, t ~ 6e-14, sums two 4e6-entry arrays); smaller t is refused
+# GeneralizedIngham.profile_vec takes O(sqrt(floor(1/t))) time and memory per
+# t (one t at this cap, t ~ 6e-14, sums two 4e6-entry arrays); smaller t is refused
 GENIN_PROFILE_MAX_Q = 2**44
 
 # Below this q, W(q) is the direct sum, one np.dot over j <= q; from it on,
@@ -549,15 +531,16 @@ class GeneralizedIngham(Kernel):
             u[j :: len(self.weights)] = w
         return Divisor(u)
 
-    def profile(self, t: float) -> float:
-        # t * W(floor(1/t)); the same snap as Ingham.profile: t = 1/m
-        # computed one ulp high must still floor 1/t to m
-        x = 1.0 / t + 1e-12
-        if x >= GENIN_PROFILE_MAX_Q + 1:
-            raise KernelDomainError(
-                "genin profile at t=%g needs floor(1/t) <= %d" % (t, GENIN_PROFILE_MAX_Q)
-            )
-        return float(self._ws([math.floor(x)])[0]) * t
+    def profile_vec(self, t: np.ndarray) -> np.ndarray:
+        # t * W(floor(1/t)); the same snap as Ingham: t = 1/m computed one
+        # ulp high must still floor 1/t to m
+        with np.errstate(divide="ignore", over="ignore"):
+            x = 1.0 / t + 1e-12
+        big = x >= GENIN_PROFILE_MAX_Q + 1
+        if big.any():
+            raise KernelDomainError("genin profile at t=%g needs floor(1/t) <= %d"
+                                    % (t[big][0], GENIN_PROFILE_MAX_Q))
+        return self._ws(np.floor(x).astype(np.int64).tolist()) * t
 
     def _ws(self, qs: list) -> np.ndarray:
         """W(q) for each integer q >= 1 of qs: the direct sum

@@ -112,6 +112,11 @@ class VerificationError(ArithmeticError):
     """A computed result failed its independent check (residual, identity, zero)."""
 
 
+# The --rhs grammar: each RhsSpec kind, and whether its spec takes ":<beta>"
+_KINDS = {"power": True, "delta": False, "l0pow": True}
+_GRAMMAR = " | ".join(kind + ":<beta>" * takes_beta for kind, takes_beta in _KINDS.items())
+
+
 @dataclass(frozen=True)
 class RhsSpec:
     """Right-hand side description.
@@ -126,12 +131,12 @@ class RhsSpec:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("power", "delta", "l0pow"):
+        if self.kind not in _KINDS:
             raise ValueError("unknown rhs kind %r" % (self.kind,))
-        if self.kind == "delta":
+        if not _KINDS[self.kind]:
             object.__setattr__(self, "beta", math.inf)
         elif not math.isfinite(self.beta):
-            raise ValueError("power/l0pow rhs needs finite beta")
+            raise ValueError("%s rhs needs finite beta" % self.kind)
 
     @property
     def beta_is_integer(self) -> bool:
@@ -146,9 +151,8 @@ class RhsSpec:
 
     @property
     def label(self) -> str:
-        if self.kind == "delta":
-            return "delta"
-        return "%s:%s" % (self.kind, _num(self.beta))
+        """The spec parse_rhs reads back to this RhsSpec."""
+        return "%s:%s" % (self.kind, _num(self.beta)) if _KINDS[self.kind] else self.kind
 
     def r_float(self, ns: np.ndarray) -> np.ndarray:
         """R(n) as float64 at each n of the int array ns (R(0) = 0), bit for
@@ -180,17 +184,14 @@ class RhsSpec:
 
 
 def parse_rhs(spec: str) -> RhsSpec:
-    """Parse "power:<beta>" | "delta" | "l0pow:<beta>"."""
-    s = spec.strip()
-    if s == "delta":
-        return RhsSpec("delta")
-    for head in ("power", "l0pow"):
-        if s.startswith(head + ":"):
-            try:
-                return RhsSpec(head, float(s[len(head) + 1 :]))
-            except ValueError as exc:
-                raise ValueError("bad rhs spec %r" % (spec,)) from exc
-    raise ValueError('bad rhs spec %r — use "power:<beta>", "delta" or "l0pow:<beta>"' % (spec,))
+    """Parse the --rhs grammar _GRAMMAR into an RhsSpec."""
+    kind, colon, beta = spec.strip().partition(":")
+    try:
+        if kind in _KINDS and _KINDS[kind] == bool(colon):
+            return RhsSpec(kind, float(beta)) if colon else RhsSpec(kind)
+    except ValueError as exc:
+        raise ValueError("bad rhs spec %r — use %s" % (spec, _GRAMMAR)) from exc
+    raise ValueError("bad rhs spec %r — use %s" % (spec, _GRAMMAR))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from raflab import claims
 from raflab.cli import SOLVE_CSV_BLOCK, _float_rows, main
 from raflab.kernels import parse_kernel
 from raflab.sieve import load_cache, save_cache, sieve
-from raflab.solver import VerificationError, parse_rhs, solve
+from raflab.solver import RhsSpec, VerificationError, parse_rhs, solve
 
 _TESTS = os.path.dirname(os.path.abspath(__file__))
 
@@ -834,3 +834,125 @@ def test_config_must_be_a_json_object(capsys, tmp_path):
 def test_config_missing_file_is_io_error(capsys, tmp_path):
     rc, _, _ = run(capsys, ["solve", "--config", str(tmp_path / "nope.json")])
     assert rc == 2
+
+
+# One value per option of each subcommand, none its built-in default, and a
+# small size for each subcommand that the other runs of it take on the
+# command line, so that a run with a config file and a run with the flag
+# both finish quickly.  True stands for a bare flag.
+_OPTION_VALUES = {
+    "solve": {"--kernel": "affine:0.5", "--rhs": "power:0.5", "--n": 60, "--backend": "exact"},
+    "scan": {"--kernel": "disc:2", "--betas": "0:1:0.5", "--n": 3000,
+             "--slope-tol": 0.2, "--const-tol": 0.3},
+    "index": {"--kernel": "disc:2", "--grid": "0.2:0.8:0.3", "--n": 3000,
+              "--slope-tol": 0.2, "--const-tol": 0.3},
+    "hlr": {"--kernel": "disc:2", "--beta": 0.5, "--n": 3000},
+    "mellin": {"--kernel": "affine:0.5", "--z": "-2,1", "--method": "limit", "--n": 500},
+    "zeros": {"--q": 3, "--im": "0:20"},
+    "count": {"--what": "pfree:2", "--n": 500, "--oracle": True, "--sieve-cache": "sieve.bin"},
+    "jordan": {"--beta": 0.125, "--x": 3000, "--sieve-cache": "sieve.bin"},
+    "mertens": {"--x": 3000, "--sieve-cache": "sieve.bin"},
+    "verify": {"--suite": "asymptotic"},
+}
+_SMALL = {"solve": {"--n": 40}, "scan": {"--n": 2000}, "index": {"--n": 2000},
+          "hlr": {"--n": 2000}, "mellin": {"--n": 200}, "count": {"--n": 300},
+          "jordan": {"--x": 2000}, "mertens": {"--x": 2000}}
+
+
+def _flags(options):
+    return [a for flag, val in options.items()
+            for a in ([flag] if val is True else [flag, str(val)])]
+
+
+def _run_in(capsys, monkeypatch, where, argv):
+    """rc, stdout and every file a run writes in the empty directory where;
+    the manifest without its cmd and wall_ms."""
+    where.mkdir()
+    monkeypatch.chdir(where)
+    rc, out, err = run(capsys, argv + ["--out", "out.csv"])
+    files = {p.name: p.read_bytes() for p in where.iterdir()}
+    man = json.loads(files.pop("out.csv.manifest.json"))
+    return rc, out, err, files, {k: v for k, v in man.items() if k not in ("cmd", "wall_ms")}
+
+
+@pytest.mark.parametrize("sub, flag", [
+    (sub, flag) for sub, cmd in raflab.cli._COMMANDS.items()
+    for flag, _, _ in cmd.options + ((raflab.cli._SIEVE_CACHE,) if cmd.sieve_cache else ())
+])
+def test_config_key_runs_as_its_flag(capsys, monkeypatch, tmp_path, sub, flag):
+    value = _OPTION_VALUES[sub][flag]
+    defaults = {f: d for f, d, _ in raflab.cli._COMMANDS[sub].options}
+    assert value != defaults.get(flag)  # so an ignored key would show
+    stub = (claims.Claim("stub-exact", ("exact",), lambda: (True, "e")),
+            claims.Claim("stub-asymptotic", ("asymptotic",), lambda: (True, "a")))
+    monkeypatch.setattr(claims, "CLAIMS", stub)  # verify runs no real claim
+    rest = _flags({f: v for f, v in _SMALL.get(sub, {}).items() if f != flag})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+    by_flag = _run_in(capsys, monkeypatch, tmp_path / "flag", [sub] + _flags({flag: value}) + rest)
+    by_config = _run_in(capsys, monkeypatch, tmp_path / "config", [sub, "--config", str(cfg)] + rest)
+    assert by_config == by_flag
+    assert by_flag[0] == 0 and by_flag[2] == ""
+
+
+@pytest.mark.parametrize("sub, cfg", [
+    ("solve", {"n": "abc"}), ("solve", {"n": 20.5}), ("count", {"what": 3}),
+    ("solve", {"backend": "bogus"}), ("solve", {"nn": 5}),
+], ids=["n-abc", "n-float", "what-int", "backend-bogus", "unknown-key"])
+def test_bad_config_value_is_one_usage_error_line_also_under_python_O(capsys, tmp_path, sub, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [sub, "--config", str(path)]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    proc = run_python_O(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == err.splitlines()
+
+
+def test_config_sets_store_true_flags(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"oracle": True, "n": 200}))
+    rc, out, _ = run(capsys, ["count", "--config", str(path)])
+    assert rc == 0 and out == "formula=1 oracle=1 match=true\n"
+
+    path.write_text(json.dumps({"json": True, "oracle": False, "n": None}))
+    rc, out, _ = run(capsys, ["count", "--config", str(path)])
+    assert rc == 0
+    assert json.loads(out) == {"what": "coprime:1", "n": 1000, "formula": 1,
+                               "oracle": None, "match": None}
+
+
+def _parse_rhs_with_each_head_written_out(spec):
+    """parse_rhs as it read before the --rhs grammar was declared once."""
+    s = spec.strip()
+    if s == "delta":
+        return RhsSpec("delta")
+    for head in ("power", "l0pow"):
+        if s.startswith(head + ":"):
+            return RhsSpec(head, float(s[len(head) + 1:]))
+    raise ValueError(spec)
+
+
+_NUMBER_TEXT = st.one_of(
+    st.floats().map(repr), st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", " 1", "1_0", "1e400", "-inf", "nan", "0x1", "1:2", "1,2"]),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["power", "delta", "l0pow", "Power", "l0", "gauss", ""]),
+       st.sampled_from(["", ":"]), _NUMBER_TEXT, st.sampled_from(["", " ", "\t"]))
+def test_rhs_grammar_parses_as_before_and_labels_parse_back(head, colon, number, pad):
+    spec = pad + head + colon + number + pad
+    try:
+        want = _parse_rhs_with_each_head_written_out(spec)
+    except ValueError:
+        with pytest.raises(ValueError, match="bad rhs spec"):
+            parse_rhs(spec)
+        return
+    got = parse_rhs(spec)
+    assert got == want
+    assert parse_rhs(got.label) == got

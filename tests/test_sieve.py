@@ -380,3 +380,10 @@ def test_divisor_pass_matches_per_d_loop(kind, n, seed):
     divisor_pass(got, got, -1, v)
     reference_divisor_pass(want, want, -1, v)
     assert np.array_equal(got, want)
+
+
+def test_import_of_the_sieve_submodule_gives_the_module():
+    # the package re-exports no function under the name of its submodule
+    import raflab.sieve as s
+
+    assert s.sieve(10).mu[1:].tolist() == MU_10
