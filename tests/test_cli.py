@@ -836,10 +836,9 @@ def test_config_missing_file_is_io_error(capsys, tmp_path):
     assert rc == 2
 
 
-# One value per option of each subcommand, none its built-in default, and a
-# small size for each subcommand that the other runs of it take on the
-# command line, so that a run with a config file and a run with the flag
-# both finish quickly.  True stands for a bare flag.
+# A value for each option of each subcommand, none of them its built-in
+# default (True is the bare flag), and a small size that the runs testing
+# the other options of a subcommand give on the command line, so each is quick.
 _OPTION_VALUES = {
     "solve": {"--kernel": "affine:0.5", "--rhs": "power:0.5", "--n": 60, "--backend": "exact"},
     "scan": {"--kernel": "disc:2", "--betas": "0:1:0.5", "--n": 3000,
