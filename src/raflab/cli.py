@@ -42,8 +42,9 @@ A missing or too small cache is rebuilt silently.
 
 Exit codes: 0 ok; 1 verification failure (an asserted identity or
 tolerance was violated) or an index bracket failure; 2 usage or I/O error,
-a singular kernel, a kernel/RHS the exact backend cannot take, or an RHS
-whose float R(n), s(m) or a_n is not finite.
+a singular kernel, a kernel/RHS the exact backend cannot take, an RHS
+whose float R(n), s(m) or a_n is not finite, or an N too large for memory.
+Option names and --config keys are spelt in full: a prefix is a usage error.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from .counting import _GRAMMAR as _COUNT_GRAMMAR, count_formula, count_oracle, p
 from .kernels import (
     FSpec,
     Ingham,
-    KernelDomainError,
     Scaled,
     UnsupportedKernelError,
     _num,
@@ -86,7 +86,6 @@ from .kernels import (
 )
 from .mellin import (
     PoleError,
-    RegionError,
     closed_transform,
     limit_transform,
     phi_f_zeros,
@@ -107,10 +106,6 @@ from .solver import (
 # ---------------------------------------------------------------------------
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_z(text: str) -> complex:
     parts = text.split(",")
     try:
@@ -120,7 +115,7 @@ def _parse_z(text: str) -> complex:
             return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
-    raise UsageError('bad --z %r: use "<re>,<im>" or "<re>"' % (text,))
+    raise ValueError('bad --z %r: use "<re>,<im>" or "<re>"' % (text,))
 
 
 def _parse_betas(text: str) -> List[float]:
@@ -137,7 +132,7 @@ def _parse_betas(text: str) -> List[float]:
             return [v for v in vals if v <= hi + 1e-12]
     except (ValueError, OverflowError):  # (hi - lo) / step can overflow
         pass
-    raise UsageError('bad range %r: use "<lo>:<hi>:<step>"' % (text,))
+    raise ValueError('bad range %r: use "<lo>:<hi>:<step>"' % (text,))
 
 
 def _parse_im_range(text: str) -> Tuple[float, float]:
@@ -147,7 +142,7 @@ def _parse_im_range(text: str) -> Tuple[float, float]:
             return float(parts[0]), float(parts[1])
     except ValueError:
         pass
-    raise UsageError('bad --im %r: use "<lo>:<hi>"' % (text,))
+    raise ValueError('bad --im %r: use "<lo>:<hi>"' % (text,))
 
 
 def _fmt_c(z: complex) -> str:
@@ -711,13 +706,14 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="raf",
+        allow_abbrev=False,
         description="Triangular-recurrence solver, Mellin transforms, regularity "
         "indices, and exact floor/Mobius counting identities.",
     )
     ap.add_argument("--version", action="version", version="raf-lab " + __version__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
-        sp = sub.add_parser(name, help=cmd.help)
+        sp = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
         extra = (_SIEVE_CACHE,) if cmd.sieve_cache else ()
         for flag, default, kw in cmd.options + _COMMON + extra:
             sp.add_argument(flag, default=default, **kw)
@@ -731,7 +727,7 @@ def _config_flags(path: str) -> List[str]:
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise UsageError("--config must contain a JSON object")
+        raise ValueError("--config must contain a JSON object")
     return ["--" + key.replace("_", "-") + ("" if val is True else "=%s" % (val,))
             for key, val in cfg.items() if val is not False and val is not None]
 
@@ -757,8 +753,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (UsageError, KernelDomainError, UnsupportedKernelError, PoleError, RegionError,
-            SingularKernelError, BackendMismatchError, ValueError) as exc:
+    except (UnsupportedKernelError, PoleError, SingularKernelError, BackendMismatchError,
+            ValueError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

@@ -31,8 +31,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .kernels import (  # PoleError, TransformResult and _PATCH_RADIUS are re-exported
-    _PATCH_RADIUS,
+from .kernels import (  # PoleError is re-exported
     FSpec,
     Ingham,
     Kernel,

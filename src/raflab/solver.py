@@ -688,14 +688,10 @@ def ingham_coeff_closed(
     if exact:
         if float(beta) != int(beta):
             raise BackendMismatchError("exact closed form needs integer beta")
-        bi = int(beta)
         mu = mu.astype(object)  # Python ints
-        t = np.zeros(limit + 1, dtype=object)
-        t[2:] = [
-            d ** (1 - bi) - (d - 1) ** (1 - bi) if bi <= 1
-            else Fraction(1, d ** (bi - 1)) - Fraction(1, (d - 1) ** (bi - 1))
-            for d in range(2, limit + 1)
-        ]
+        t = RhsSpec("power", beta).t_exact(np.arange(limit + 1))
+        t[2:] = t[2:] - t[1:-1]
+        t[:2] = 0
         out = np.zeros(limit + 1, dtype=object)
     else:
         # t holds p(d) = d^(1-beta), then t(d) = p(d) - p(d-1) in place, the

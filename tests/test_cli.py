@@ -196,6 +196,48 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     assert err == "error: residual nan at n=5 exceeds 5e-09\n"
 
 
+# 10^15 float64 entries are 8 PB, past a 48-bit address space, so the first
+# array fails to allocate at once whatever the overcommit setting
+_HUGE_N = str(10**15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", _HUGE_N],
+    ["solve", "--kernel", "genin:1,-1", "--n", _HUGE_N],
+    ["solve", "--kernel", "affine:0.5", "--n", _HUGE_N],
+    ["solve", "--kernel", "ratraf:1,2", "--n", _HUGE_N],
+    ["scan", "--n", _HUGE_N, "--betas", "0.5"],
+    ["hlr", "--n", _HUGE_N],
+], ids=["solve", "genin", "affine", "ratraf", "scan", "hlr"])
+def test_n_too_large_for_memory_is_usage_error_also_under_python_O(capsys, argv):
+    # a numpy MemoryError printed its traceback and exited 1
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    proc = run_python_O(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["scan", "--s", "0.1"], "--s 0.1"),                                # was --slope-tol
+    (["solve", "--kern", "affine:0.5", "--n", "10"], "--kern affine:0.5"),  # was --kernel
+    (["--vers"], "command"),                                            # was --version
+], ids=["scan-s", "solve-kern", "vers"])
+def test_a_prefix_of_an_option_is_a_usage_error(capsys, argv, named):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("raf: error: ") and named in err
+
+
+def test_a_config_key_that_is_a_prefix_of_an_option_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kern": "affine:0.5", "n": 10}))
+    rc, out, err = run(capsys, ["solve", "--config", str(path)])
+    assert rc == 2 and out == ""
+    assert err == "raf: error: unrecognized arguments: --kern=affine:0.5\n"
+
+
 # ---------------------------------------------------------------------- mellin
 
 

@@ -1,8 +1,11 @@
 import functools
 import io
 import math
+import json
 import os
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -387,3 +390,22 @@ def test_import_of_the_sieve_submodule_gives_the_module():
     import raflab.sieve as s
 
     assert s.sieve(10).mu[1:].tolist() == MU_10
+
+
+def test_importing_a_module_loads_only_the_modules_it_imports():
+    # the package root holds only __version__, so it loads no submodule, and
+    # raflab.sieve, which imports nothing from the package, loads itself alone
+    code = (
+        "import json, sys\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('raflab.'))\n"
+        "import raflab\n"
+        "root = loaded()\n"
+        "import raflab.sieve\n"
+        "print(json.dumps([root, loaded()]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], ["raflab.sieve"]]
