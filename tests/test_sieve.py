@@ -1,7 +1,7 @@
 import functools
 import io
-import math
 import json
+import math
 import os
 import struct
 import subprocess
