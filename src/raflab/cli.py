@@ -43,7 +43,8 @@ A missing or too small cache is rebuilt silently.
 Exit codes: 0 ok; 1 verification failure (an asserted identity or
 tolerance was violated) or an index bracket failure; 2 usage or I/O error,
 a singular kernel, a kernel/RHS the exact backend cannot take, an RHS
-whose float R(n), s(m) or a_n is not finite, or an N too large for memory.
+whose float R(n), s(m) or a_n is not finite, an N too large for memory, or
+a beta grid, --im range or --method limit truncation past its cap.
 Option names and --config keys are spelt in full: a prefix is a usage error.
 """
 
@@ -118,21 +119,26 @@ def _parse_z(text: str) -> complex:
     raise ValueError('bad --z %r: use "<re>,<im>" or "<re>"' % (text,))
 
 
+# Most points a <lo>:<hi>:<step> beta grid may hold; each one is a solve.
+_GRID_MAX = 10_000
+
+
 def _parse_betas(text: str) -> List[float]:
     parts = text.split(":")
     try:
         if len(parts) == 1:
             return [float(parts[0])]
-        if len(parts) == 3:
-            lo, hi, step = (float(p) for p in parts)
-            if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
-                raise ValueError
-            count = int(round((hi - lo) / step))
-            vals = [lo + i * step for i in range(count + 1)]
-            return [v for v in vals if v <= hi + 1e-12]
+        lo, hi, step = (float(p) for p in parts)
+        if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
+            raise ValueError
+        count = int(round((hi - lo) / step))
     except (ValueError, OverflowError):  # (hi - lo) / step can overflow
-        pass
-    raise ValueError('bad range %r: use "<lo>:<hi>:<step>"' % (text,))
+        raise ValueError('bad range %r: use "<lo>:<hi>:<step>"' % (text,)) from None
+    if count + 1 > _GRID_MAX:
+        raise ValueError("range %r holds %.6g points, above the cap of %d"
+                         % (text, count + 1, _GRID_MAX))
+    vals = [lo + i * step for i in range(count + 1)]
+    return [v for v in vals if v <= hi + 1e-12]
 
 
 def _parse_im_range(text: str) -> Tuple[float, float]:
@@ -748,18 +754,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse has printed its one line, or the help
         return 2 if exc.code not in (0, None) else 0
     except BracketFailureError as exc:
-        print("index bracket failure: %s" % exc, file=sys.stderr)
+        print("index bracket failure: %s" % _text(exc), file=sys.stderr)
         return 1
     except VerificationError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % _text(exc), file=sys.stderr)
         return 1
     except (UnsupportedKernelError, PoleError, SingularKernelError, BackendMismatchError,
             ValueError, MemoryError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % _text(exc), file=sys.stderr)
         return 2
     except OSError as exc:
-        print("i/o error: %s" % exc, file=sys.stderr)
+        print("i/o error: %s" % _text(exc), file=sys.stderr)
         return 2
+
+
+def _text(exc: BaseException) -> str:
+    """str(exc), or the class name where that is empty (a bare MemoryError)."""
+    return str(exc) or type(exc).__name__
 
 
 if __name__ == "__main__":

@@ -13,9 +13,10 @@ evaluates g at f(k)/f(n).
 
 Structure: Kernel.structure(limit) declares the one property of G that
 solver.solve() dispatches on, or None for none of them:
-    Divisor(u, rho)   n^rho G(n,k)/k^rho = sum_j u_j floor((n/(j*k))^rho),
-                      rho = 1/p: ingham, genin, disc with integer lam, and
-                      ingham rescaled by x^(1/p) (u = delta, rho = 1/p)
+    Divisor(w, rho)   n^rho G(n,k)/k^rho = sum_{m<=n/k} w_m, rho = 1/p:
+                      ingham (w = 1), ingham rescaled by x^(1/p) (w the
+                      indicator of the p-th powers), disc with integer lam
+                      (its staircase steps) and genin (w = 1 * u)
     Separable(p, q)   G(n,k) = p[0,n] q[0,k] + p[1,n] q[1,k]: affine, log
     Hankel(h)         G(n,k) = h[n+k]: ratraf
     Band(n0, e)       rows n >= n0 are 1 up to a fixed band e at the
@@ -173,11 +174,11 @@ IDENTITY = FSpec("identity")
 
 @dataclass(frozen=True)
 class Divisor:
-    """n^rho G(n,k)/k^rho = sum_{j<=n/k} u_j floor((n/(j*k))^rho) for all
-    k <= n <= limit, with rho = 1/p for an integer p >= 1; u_0..u_L, u_0
-    unused and u_j = 0 past the array."""
+    """n^rho G(n,k)/k^rho = sum_{m<=n/k} w_m for all k <= n <= limit, with
+    rho = 1/p for an integer p >= 1; the step weights w_0..w_L, w_0 unused
+    and w_m = 0 past the array, or None for w_m = 1 at every m."""
 
-    u: np.ndarray
+    w: Optional[np.ndarray] = None
     rho: float = 1.0
 
 
@@ -298,7 +299,7 @@ class Ingham(Kernel):
         return (ks * (n // ks)) / float(n)
 
     def structure(self, limit: int) -> Divisor:
-        return Divisor(np.array([0.0, 1.0]))  # u = delta: n*G(n,k)/k = floor(n/k)
+        return Divisor()  # n*G(n,k)/k = floor(n/k) = sum_{m<=n/k} 1
 
     def transform(self, z: complex) -> TransformResult:
         from .mellin import zeta  # mellin imports this module
@@ -407,20 +408,19 @@ class Disc(Kernel):
 
     def structure(self, limit: int) -> Optional[Divisor]:
         # Integer lam: n*G(n,k)/k = lam^floor(log_lam floor(n/k)), which is
-        # sum_{m<=n/k} w(m) for w = delta_1 + sum_{i>=1} (lam^i - lam^(i-1))
-        # delta_{lam^i}.  So 1 * u = w, and u = mu * w.  The powers are
-        # exact integers; no float log decides a step.
+        # sum_{m<=n/k} w_m for w = delta_1 + sum_{i>=1} (lam^i - lam^(i-1))
+        # delta_{lam^i}.  The powers are exact integers; no float log
+        # decides a step.
         if self.unproven_index:
             return None
         lam = int(self.lam)
-        u = np.zeros(limit + 1)
-        u[1] = 1.0
+        w = np.zeros(limit + 1)
+        w[1] = 1.0
         p = lam
         while p <= limit:
-            u[p] = p - p // lam
+            w[p] = p - p // lam
             p *= lam
-        divisor_pass(u, u, -1)  # w becomes mu * w
-        return Divisor(u)
+        return Divisor(w)
 
     def transform(self, z: complex) -> TransformResult:
         lam = self.lam
@@ -526,10 +526,13 @@ class GeneralizedIngham(Kernel):
         return self._ws(qs.tolist())[where] * ks / float(n)
 
     def structure(self, limit: int) -> Divisor:
+        # n*G(n,k)/k = sum_j u_j floor(n/(j*k)) = sum_{m<=n/k} (1 * u)(m)
         u = np.zeros(limit + 1)
-        for j, w in enumerate(self.weights, 1):  # u_j = weights[(j-1) % period]
-            u[j :: len(self.weights)] = w
-        return Divisor(u)
+        for j, x in enumerate(self.weights, 1):  # u_j = weights[(j-1) % period]
+            u[j :: len(self.weights)] = x
+        w = u.copy()
+        divisor_pass(w, u, 1)  # w = 1 * u
+        return Divisor(w)
 
     def profile_vec(self, t: np.ndarray) -> np.ndarray:
         # t * W(floor(1/t)); the same snap as Ingham: t = 1/m computed one
@@ -570,6 +573,11 @@ class GeneralizedIngham(Kernel):
             "closed transform of the generalized floor-weight kernel needs "
             "Dirichlet L-function data; use limit_transform"
         )
+
+
+# The q^x+1 sum of Scaled.mellin_sum adds its terms one at a time, about 1 s
+# and 170 MB per 10^6 of n on 2 cores, so it refuses n above this.
+_EXP_SUM_MAX = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -660,8 +668,16 @@ class Scaled(Kernel):
             return None
         if self.f.kind == "exp_plus_one":
             return _exp_band(self.f.q)
-        # x^(1/p): n^(1/p) G(n,k)/k^(1/p) = floor((n/k)^(1/p)), u = delta
-        return None if self._ingham_root is None else Divisor(np.array([0.0, 1.0]), self.f.r)
+        # x^(1/p): n^(1/p) G(n,k)/k^(1/p) = floor((n/k)^(1/p)) counts the
+        # p-th powers m <= n/k; for p = 1 that is every m
+        p = self._ingham_root
+        if p is None:
+            return None
+        if p == 1:
+            return Divisor()
+        w = np.zeros(limit + 1, dtype=np.int8)
+        w[np.arange(1, _iroot(limit, p) + 1) ** p] = 1
+        return Divisor(w, self.f.r)
 
     def transform(self, z: complex) -> TransformResult:
         f = self.f
@@ -697,7 +713,8 @@ class Scaled(Kernel):
         O(SIEVE_BLOCK) for any n) and the last upper weight of a block is
         the first lower weight of the next; the sum is np.sum's within a
         block, the block sums added in order of k.  The q^x+1 sum adds its
-        n terms one at a time."""
+        n terms one at a time, and refuses n above _EXP_SUM_MAX with a
+        ValueError."""
         f = self.f
         if f.kind in ("identity", "power"):
             r = 1.0 if f.kind == "identity" else f.r
@@ -717,6 +734,8 @@ class Scaled(Kernel):
             return total
 
         # f(x) = q^x + 1: geometric decay away from k=n
+        if n > _EXP_SUM_MAX:
+            raise ValueError("the q^x+1 sum at n = %d is above its cap of %d" % (n, _EXP_SUM_MAX))
         logf = [f.log_value(k) for k in range(n + 1)]
         g = self.eval_row(n, np.arange(1, n + 1)).tolist()
         acc = 0.0 + 0.0j

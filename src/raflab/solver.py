@@ -6,12 +6,11 @@ n^-beta * L0(n) with L0 the 3-smooth counting function ("l0pow").
 
 solve() picks its path from the one declaration Kernel.structure(limit)
 returns, never from the kernel's class:
-  * Divisor   — O(N log N), for n^rho G(n,k)/k^rho =
-                sum_j u_j floor((n/(j*k))^rho) with rho = 1/p (ingham, genin,
-                disc with integer lam: rho = 1; ingham rescaled by x^(1/p):
-                u = delta, rho = 1/p); float, or, on ints and Fractions,
-                exact when u = delta, rho = 1 and every R(n) is rational
-                (delta, integer beta >= 0).
+  * Divisor   — O(N log N), for n^rho G(n,k)/k^rho = sum_{m<=n/k} w_m
+                with rho = 1/p (ingham, genin, disc with integer lam:
+                rho = 1; ingham rescaled by x^(1/p): rho = 1/p); float, or,
+                on ints and Fractions, exact when w = 1 (w = None), rho = 1
+                and every R(n) is rational (delta, integer beta >= 0).
   * Separable — O(N), float only, for rank-2 separable kernels (affine, log).
   * Hankel    — O(N log^2 N), float only, for G(n,k) = h[n+k] (ratraf), by
                 divide and conquer over the rows: solve the left half of
@@ -32,30 +31,23 @@ after them the post-solve check tests the whole verify_residuals sample on
 eval_row rows; after the rho = 1 divisor and separable paths it tests n = N.
 
 Divisor-path algebra (convention-free, used by both backends): when
-n*G(n,k)/k = sum_{j<=n/k} u_j floor(n/(j*k)), multiply the defining
-relation by n, write b_k = k*a_k, and note floor(n/(j*k)) counts the
-multiples of j*k up to n, so
+n^rho G(n,k)/k^rho = sum_{m<=n/k} w_m, multiply the defining relation by
+n^rho and write b_k = k^rho a_k, so
 
-    sum_{k<=n} b_k sum_j u_j floor(n/(j*k)) = sum_{m<=n} (1 * u * b)(m) = n R(n),
+    sum_{k<=n} b_k sum_{m<=n/k} w_m = sum_{j<=n} (w * b)(j) = n^rho R(n),
 
-with * the Dirichlet convolution.  Hence (1 * u * b)(m) = s(m) :=
-T(m) - T(m-1), T(m) = m R(m) (RhsSpec.t_exact or m * r_float on the two
-backends).  One in-place pass, sieve.divisor_pass(s, s, -1),
-strips the 1 and leaves c = mu * s = u * b; a second pass with
-mult = u/u_1 then solves u_1 b_m = c(m) - sum_{d|m, d<m} u_{m/d} b_d.
-With rho = 1/p, floor((n/(j*k))^rho) counts the i with i^p*j*k <= n, so
-the same steps with b_k = k^rho a_k and T(m) = m^rho R(m) give
-(w * u * b)(m) = s(m), w the indicator of the p-th powers; the first pass
-takes mult = w and strips w (its inverse is mu(i) at i^p: Apostol,
-Introduction to Analytic Number Theory, 1976, ch. 2).
-The x*floor(1/x) kernel is u = delta (u_1 = 1, no other weight), so it
-needs only the first pass.  The geometric staircase with integer lam has
-n*G(n,k)/k = lam^floor(log_lam floor(n/k)) = sum_{m<=n/k} w(m) with
-w = delta_1 + sum_{i>=1} (lam^i - lam^(i-1)) delta_{lam^i}, so 1 * u = w
-and u = mu * w.
+with * the Dirichlet convolution.  Hence (w * b)(m) = s(m) :=
+T(m) - T(m-1), T(m) = m^rho R(m) (RhsSpec.t_exact or m^rho * r_float on
+the two backends), and one in-place pass, sieve.divisor_pass(s, s, -1,
+w/w_1) after s /= w_1, solves w_1 b_m = s(m) - sum_{d|m, d<m} w_{m/d} b_d
+(Apostol, Introduction to Analytic Number Theory, 1976, ch. 2).  The
+kernel declares w: none (w = 1) for x*floor(1/x), the indicator of the
+p-th powers for its x^(1/p) rescaling, the staircase steps
+w = delta_1 + sum_{i>=1} (lam^i - lam^(i-1)) delta_{lam^i} for disc with
+integer lam, and 1 * u for genin's n*G(n,k)/k = sum_j u_j floor(n/(j*k)).
 
 A float divisor-path solve holds a_0..a_N (in the one array that held T,
-then s, then b), the weights u, and O(SIEVE_BLOCK) besides: R, T, s, the
+then s, then b), the weights w, and O(SIEVE_BLOCK) besides: R, T, s, the
 finite checks and the division by m go a block at a time, and so do the
 residual rows, partial_sums and the HLR report that read a_n afterwards.
 
@@ -85,7 +77,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .kernels import Band, Divisor, Hankel, Kernel, Separable, _num
-from .sieve import SIEVE_BLOCK, MobiusTable, _iroot, divisor_pass
+from .sieve import SIEVE_BLOCK, MobiusTable, divisor_pass
 
 # Largest N the generic O(N^2) forward substitution accepts.
 GENERIC_CAP = 20_000
@@ -254,7 +246,7 @@ def solve(
 
     Unless force_generic is set, the path is the one kernel.structure(limit)
     declares (see the module docstring): Divisor, O(N log N), solves
-    (w * u * b) = s with b_k = k^rho a_k; Separable, O(N), runs the rank-2
+    (w * b) = s with b_k = k^rho a_k; Separable, O(N), runs the rank-2
     recurrence; Hankel, O(N log^2 N), forms the row sums
     sum_{k<n} a_k h[n+k] by divide and conquer with FFT correlations; Band,
     O(N c), reads rows below n0 from eval_row and every later row as a
@@ -266,10 +258,10 @@ def solve(
     check evaluates the kernel with eval_row, never from the declaration,
     at n = limit after a rho = 1 divisor or a separable solve, and on the
     whole verify_residuals sample after any other.  The exact backend needs
-    a Divisor with u = delta and rho = 1 (the x*floor(1/x) kernel).
+    a Divisor with w = None and rho = 1 (the x*floor(1/x) kernel).
 
     Raises:
-        SingularKernelError: G(n,n) = 0 for some n (u_1 = 0 on the divisor
+        SingularKernelError: G(n,n) = 0 for some n (w_1 = 0 on the divisor
             path, sum_i P[i,n] Q[i,n] = 0 on the separable path).
         BackendMismatchError: exact backend with any other structure, or an
             RHS whose values are not rational (delta / integer beta >= 0 are
@@ -285,7 +277,7 @@ def solve(
 
     if backend == "exact":
         st = kernel.structure(limit)
-        if not (isinstance(st, Divisor) and st.rho == 1 and st.u[1] == 1 and not np.any(st.u[2:])):
+        if not (isinstance(st, Divisor) and st.rho == 1 and st.w is None):
             raise BackendMismatchError(
                 "exact backend supports only the ingham kernel, got %s" % kernel.spec
             )
@@ -295,7 +287,7 @@ def solve(
                 "got %s" % rhs.label
             )
         full_sample = False
-        values = _divisor_solve(rhs.t_exact(np.arange(limit + 1)), st.u, rhs.label)
+        values = _divisor_solve(rhs.t_exact(np.arange(limit + 1)), None, rhs.label)
     elif backend == "float":
         st = None if force_generic else kernel.structure(limit)
         if st is None and limit > GENERIC_CAP:
@@ -315,7 +307,7 @@ def solve(
                     block *= ns if rho == 1 else ns**rho
             r[lo : lo + len(ns)] = block
         if isinstance(st, Divisor):
-            values = _divisor_solve(r, st.u, rhs.label, rho)
+            values = _divisor_solve(r, st.w, rhs.label, rho)
         elif isinstance(st, Separable):
             values = _separable_solve_float(r, st.p, st.q)
         elif isinstance(st, Hankel):
@@ -337,16 +329,15 @@ def solve(
 
 
 def _divisor_solve(
-    t: np.ndarray, u: np.ndarray, label: str, rho: float = 1.0
+    t: np.ndarray, w: Optional[np.ndarray], label: str, rho: float = 1.0
 ) -> Union[np.ndarray, list]:
     """a_0..a_N from T(0..N), T(m) = m^rho R(m), overwriting t: float64 from a
-    float t, Fractions from ints and Fractions (rho = 1 only).
-    b_m = m^rho a_m solves (w * u * b)(m) = s(m) = T(m) - T(m-1), w = 1 for
-    rho = 1 and the indicator of the p-th powers for rho = 1/p.  Raises
-    ValueError, naming the RHS label, when a float s(m) is not finite
-    (T overflows), and SingularKernelError when u_1 = 0.  Beyond t and u it
-    holds O(SIEVE_BLOCK), and for rho < 1 the int8 w: s, the finite check
-    and the division by m^rho go a block at a time."""
+    float t, Fractions from ints and Fractions (w = None, rho = 1 only).
+    b_m = m^rho a_m solves (w * b)(m) = s(m) = T(m) - T(m-1), w = None
+    meaning w_m = 1.  Raises ValueError, naming the RHS label, when a float
+    s(m) is not finite (T overflows), and SingularKernelError when w_1 = 0.
+    Beyond t and w it holds O(SIEVE_BLOCK), and w/w_1 when w_1 != 1: s, the
+    finite check and the division by m^rho go a block at a time."""
     prev = t[0]  # T(0) = 0, so s(0) = 0
     for lo in range(1, len(t), SIEVE_BLOCK):
         block = t[lo : lo + SIEVE_BLOCK]
@@ -359,20 +350,12 @@ def _divisor_solve(
             bad = _first_nonfinite(block)
             if bad is not None:
                 raise ValueError("rhs %s: s(m) is not finite at m=%d" % (label, lo + bad))
-    if not u[1]:
-        raise SingularKernelError(1)
-    if rho == 1:
-        divisor_pass(t, t, -1)  # t becomes c = mu * s = u * b
-    else:
-        p = round(1 / rho)
-        w = np.zeros(len(t), dtype=np.int8)
-        w[np.arange(2, _iroot(len(t) - 1, p) + 1) ** p] = 1
-        divisor_pass(t, t, -1, w)  # t becomes c = w^-1 * s = u * b
-    if u[1] != 1:
-        t /= u[1]
-    if np.any(u[2:]):
-        # b_m = c(m)/u_1 - sum_{d|m, d<m} (u_{m/d}/u_1) b_d
-        divisor_pass(t, t, -1, u if u[1] == 1 else u / u[1])
+    if w is not None and w[1] != 1:
+        if not w[1]:
+            raise SingularKernelError(1)
+        t /= w[1]
+        w = w / w[1]
+    divisor_pass(t, t, -1, w)  # b_m = s(m)/w_1 - sum_{d|m, d<m} (w_{m/d}/w_1) b_d
     if t.dtype == object:
         return [Fraction(0)] + [
             Fraction(v, m) if isinstance(v, int) else v / m for m, v in enumerate(t[1:].tolist(), 1)

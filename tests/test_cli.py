@@ -40,13 +40,15 @@ def run(capsys, argv):
     return rc, cap.out, cap.err
 
 
-def run_subprocess(argv, flags=(), preexec_fn=None):
-    """`python <flags> -m raflab.cli <argv>` in a subprocess, with src/ on the path."""
+def run_subprocess(argv, flags=(), preexec_fn=None, timeout=120, env=()):
+    """`python <flags> -m raflab.cli <argv>` in a subprocess, with src/ on the
+    path and the variables of env set."""
     src = os.path.join(_TESTS, os.pardir, "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *flags, "-m", "raflab.cli"] + argv, preexec_fn=preexec_fn,
-        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path, **dict(env)),
     )
 
 
@@ -217,6 +219,35 @@ def test_n_too_large_for_memory_is_usage_error_also_under_python_O(capsys, argv)
     proc = run_python_O(argv)
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["mellin", "--method", "limit", "--n", _HUGE_N], "n = %s is above the cap of 100000000"
+     % _HUGE_N),
+    (["scan", "--betas", "0:1:1e-300", "--n", "1000"], "holds 1e+300 points, above the cap of 10000"),
+    (["index", "--grid", "0.1:0.9:1e-300", "--n", "1000"], "points, above the cap of 10000"),
+    (["zeros", "--q", "2", "--im", "0:1e300"], "zeros at q = 2, above the cap of 100000"),
+], ids=["mellin-limit", "scan-betas", "index-grid", "zeros-im"])
+def test_a_size_past_its_cap_is_refused_at_once(argv, cap):
+    # under 1 GiB of address space and a timeout: mellin summed 3*10^15
+    # terms, and the grid and the zeros filled memory, then printed "error:"
+    proc = run_subprocess(argv, preexec_fn=_limit_address_space, timeout=60,
+                          env={"OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and cap in proc.stderr
+
+
+def test_an_exception_with_no_text_prints_its_name(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(raflab.cli, "solve", out_of_memory)
+    assert run(capsys, ["solve", "--n", "5"]) == (2, "", "error: MemoryError\n")
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -28,7 +28,6 @@ from raflab.kernels import (
     UnsupportedKernelError,
     parse_kernel,
 )
-from raflab.sieve import _iroot
 
 
 def test_ingham_hand_values():
@@ -162,22 +161,21 @@ def test_scaled_pow_ingham_is_one_at_square_ratios():
 
 
 def test_divisor_structure_reproduces_the_kernel():
-    # n^rho G(n,k)/k^rho = sum_{j<=n/k} u_j floor((n/(j*k))^rho), u_j = 0
-    # past the array, floor((n/(j*k))^(1/p)) the integer root of n // (j*k)
-    assert Ingham().structure(10).u.tolist() == [0.0, 1.0]
-    g = GeneralizedIngham((1.0, -0.5, 2.0))
-    assert g.structure(7).u.tolist() == [0.0, 1.0, -0.5, 2.0, 1.0, -0.5, 2.0, 1.0]
-    for kern in (Ingham(), g, Disc(2.0), Disc(3.0), Scaled(Ingham(), IDENTITY),
+    # n^rho G(n,k)/k^rho = sum_{m<=n//k} w_m, w = None meaning w_m = 1 and
+    # w_m = 0 past the array
+    assert Ingham().structure(10).w is None
+    assert Scaled(Ingham(), FSpec("power", r=1.0)).structure(10).w is None
+    for kern in (Ingham(), GeneralizedIngham((1.0, -0.5, 2.0)), Disc(2.0), Disc(3.0),
+                 Scaled(Ingham(), IDENTITY),
                  Scaled(Ingham(), FSpec("power", r=1.0)),
                  Scaled(Ingham(), FSpec("power", r=0.5)),
                  Scaled(Ingham(), FSpec("power", r=1.0 / 3.0))):
         st = kern.structure(60)
         assert isinstance(st, Divisor)
-        u, p = st.u, round(1.0 / st.rho)
+        w = [1.0] * 61 if st.w is None else st.w.tolist()
         for n in range(1, 61):
             for k in range(1, n + 1):
-                total = sum(u[j] * _iroot(n // (j * k), p)
-                            for j in range(1, min(n // k, len(u) - 1) + 1))
+                total = sum(w[1 : n // k + 1])
                 assert (n / k) ** st.rho * kern.eval(n, k) == pytest.approx(
                     total, rel=1e-12, abs=1e-12)
     assert Scaled(Ingham(), FSpec("power", r=0.25)).structure(10).rho == 0.25
@@ -193,6 +191,24 @@ def test_divisor_structure_reproduces_the_kernel():
                  Scaled(Ingham(), FSpec("exp_plus_one", q=2))):
         assert not isinstance(kern.structure(10), Divisor)
     assert Disc(2.5).structure(10) is None
+
+
+@pytest.mark.parametrize("lam", [2, 3, 5, 7])
+def test_disc_steps_sit_at_one_and_the_powers_of_lam(lam):
+    w = Disc(float(lam)).structure(1000).w
+    powers = [lam**i for i in range(10) if lam**i <= 1000]
+    assert np.flatnonzero(w).tolist() == powers
+    assert w[powers].tolist() == [1.0] + [p - p // lam for p in powers[1:]]
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (1.0, -1.0), (1.0, -0.5, 2.0), (0.3, 0.0, -1.7, 2.5)])
+def test_genin_steps_are_one_convolved_with_its_weights(weights):
+    limit = 300
+    u = [0.0] + [weights[(j - 1) % len(weights)] for j in range(1, limit + 1)]
+    want = [0.0] + [sum(u[d] for d in range(1, m + 1) if m % d == 0)
+                    for m in range(1, limit + 1)]
+    got = GeneralizedIngham(weights).structure(limit).w.tolist()
+    assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 @settings(max_examples=60, deadline=None)

@@ -183,6 +183,15 @@ def test_limit_transform_region_checks():
         limit_transform(Ingham(), -1.0, 5)
 
 
+def test_limit_transform_refuses_n_past_its_caps_before_summing():
+    with pytest.raises(ValueError, match="above the cap of 100000000"):
+        limit_transform(Ingham(), -1.0, 10**8 + 1)
+    # the q^x+1 sum adds its terms one at a time, so it has a cap of its own
+    kern = parse_kernel("scaled:ingham:exp:2")
+    with pytest.raises(ValueError, match="above its cap of 2000000"):
+        kern.mellin_sum(-1.0, 2 * 10**6 + 1)
+
+
 def test_limit_transform_approaches_closed():
     # convergence is ~n^(Re z) for the floor kernel, so z = -1/2 needs a
     # much longer truncation than the rest to clear 1%
@@ -335,3 +344,13 @@ def test_phi_f_zeros_validation():
         phi_f_zeros(1, (0.0, 10.0))
     with pytest.raises(ValueError):
         phi_f_zeros(2, (5.0, 5.0))
+
+
+def test_phi_f_zeros_refuses_more_than_the_cap():
+    # q = 2 puts two zeros in each period 2*pi/ln 2, one per branch
+    period = 2.0 * math.pi / math.log(2.0)
+    assert len(phi_f_zeros(2, (0.0, 50_000 * period - 1.0))) == 100_000
+    with pytest.raises(ValueError, match="holds 100002 zeros at q = 2, above the cap of 100000"):
+        phi_f_zeros(2, (0.0, 50_001 * period - 1.0))
+    with pytest.raises(ValueError, match="above the cap"):
+        phi_f_zeros(2, (-1e308, 1e308))

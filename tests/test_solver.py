@@ -180,6 +180,15 @@ def test_backend_mismatch():
         solve(Ingham(), RhsSpec("delta"), 100, backend="sympy")
 
 
+def test_scaled_ingham_pow_one_solves_on_the_exact_backend():
+    # x^(1/1) declares w = None and rho = 1, as ingham does
+    kern = parse_kernel("scaled:ingham:pow:1")
+    for rhs in (RhsSpec("delta"), RhsSpec("power", 1.0), RhsSpec("power", 2.0)):
+        ex = solve(kern, rhs, 200, backend="exact")
+        assert ex.backend == "exact"
+        assert ex.values == solve(Ingham(), rhs, 200, backend="exact").values
+
+
 def test_generic_cap():
     # kernels with no structure: non-integer disc, x^r with 1/r not an integer
     for kern in (Disc(2.5), Scaled(Ingham(), FSpec("power", r=0.4))):
@@ -685,7 +694,7 @@ def test_r_float_at_a_subset_is_the_full_table(rhs, size):
 def _whole_array_solve(kernel, rhs, n):
     """The divisor-path solve on whole arrays: R and T over 0..N at once,
     s(m) = T(m) - T(m-1) from a copy of T, one division by 1..N."""
-    u = kernel.structure(n).u
+    w = kernel.structure(n).w
     ns = np.arange(n + 1)
     if rhs.kind == "delta":
         r = (ns == 1).astype(np.float64)
@@ -697,11 +706,10 @@ def _whole_array_solve(kernel, rhs, n):
             r *= l0_three_smooth(n)
     t = r * ns
     t[1:] -= t[:-1].copy()
-    divisor_pass(t, t, -1)
-    if u[1] != 1:
-        t /= u[1]
-    if np.any(u[2:]):
-        divisor_pass(t, t, -1, u / u[1])
+    if w is not None:
+        t /= w[1]
+        w = w / w[1]
+    divisor_pass(t, t, -1, w)
     t[1:] /= np.arange(1, n + 1)
     return t
 
